@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 from typing import Optional
 
@@ -141,22 +140,15 @@ def _cmd_enumerate(args) -> int:
 
 # ------------------------------------------------------------------- table
 
-def _table_cells(max_s: int, max_t: int, part_filter: str, threads: int) -> list[list[Optional[int]]]:
+def _table_cells(max_s: int, max_t: int, part_filter: str) -> list[list[Optional[int]]]:
     """Grid of counts, None marking infinite (non-coprime) cells."""
-
-    def cell(st: tuple[int, int]) -> Optional[int]:
-        s, t = st
-        if gcd(s, t) != 1:
-            return None
-        return enumerate_core(s, t, part_filter).count
-
-    pairs = [(s, t) for s in range(1, max_s + 1) for t in range(1, max_t + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flat = list(pool.map(cell, pairs))
-    else:
-        flat = [cell(p) for p in pairs]
-    return [flat[(s - 1) * max_t : s * max_t] for s in range(1, max_s + 1)]
+    return [
+        [
+            enumerate_core(s, t, part_filter).count if gcd(s, t) == 1 else None
+            for t in range(1, max_t + 1)
+        ]
+        for s in range(1, max_s + 1)
+    ]
 
 
 def _render_table(
@@ -205,7 +197,7 @@ def _cmd_table(args) -> int:
         return _fail(
             f"requested table exceeds the default cap of {TABLE_CAP}; rerun with --force"
         )
-    cells = _table_cells(max_s, max_t, args.part_filter, args.threads)
+    cells = _table_cells(max_s, max_t, args.part_filter)
     _emit(_render_table(cells, max_s, max_t, args.part_filter, args.format, args.inf_marker), args.out)
     return EXIT_OK
 
@@ -279,7 +271,7 @@ def _cmd_verify(args) -> int:
             else ranges
         )
         try:
-            reports.append(run_claim(name, threads=args.threads, **applicable))
+            reports.append(run_claim(name, **applicable))
         except ValueError as exc:
             return _fail(str(exc))
     report = reports[0] if len(reports) == 1 else _merge_reports(reports)
@@ -371,10 +363,6 @@ def _build_parser() -> _Parser:
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default: text)",
     )
-    common.add_argument(
-        "--threads", type=int, default=1, metavar="N",
-        help="worker threads for independent cells/cases (default: 1)",
-    )
     common.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -453,8 +441,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.threads < 1:
-        return _fail("--threads must be at least 1")
     return args.func(args)
 
 

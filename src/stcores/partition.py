@@ -27,6 +27,17 @@ class Partition:
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
+        """Build without the checks of __post_init__.
+
+        Only for callers that already guarantee a weakly decreasing tuple
+        of positive ints, such as decoding a walked beta-set.
+        """
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     @property
     def ell(self) -> int:
         """Number of parts."""

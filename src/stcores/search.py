@@ -1,8 +1,7 @@
 """Exhaustive enumerators for simultaneous core partitions.
 
-Everything here is exact and deliberately brute-force: these are the
-independent engines that the closed forms in `sequences` get checked
-against.
+Everything here is exact: these are the independent engines that the
+closed forms in `sequences` get checked against.
 
 The workhorse walks order ideals.  For coprime s and t, the first-column
 hook-length set of any partition avoiding hooks s and t is closed under
@@ -12,21 +11,35 @@ chain down to 0, which is impossible).  So these sets live inside the gaps
 of the numerical semigroup generated by s and t -- there are
 (s-1)(t-1)/2 gaps, the largest being s*t - s - t -- and they are exactly
 the down-closed subsets of the poset on the gaps in which x sits above
-x - s and x - t.  Walking that poset element by element in ascending order
-visits each down-closed subset exactly once, so the cost is proportional
-to the number of core partitions produced rather than to 2**(number of
-gaps).
+x - s and x - t.
+
+The walk builds each ideal by adding gaps in ascending order, so every
+ideal is reached once, from the ideal without its largest element.  A node
+extends only by its addable gaps above its last element: the candidates it
+inherited, plus x + s and x + t once both of their lower covers are
+present.  Those candidates form an antichain, so there are fewer than
+min(s, t) of them (each residue class mod s or mod t is a chain), and that
+bounds the work per ideal instead of the number of gaps.  The walk runs on
+an explicit stack, so its depth is not bounded by the recursion limit.
+
+Filters act on the ascending beta-set before it is decoded, so only kept
+ideals become partitions.  `distinct` is a prune inside the walk
+(twin-free sets); `odd` reads the parts beta[j] - j directly; and
+`self_conjugate` compares the beta-set with its reflection about its
+largest element h, because the first-row hooks are {0..h} minus h - beta.
+The partition-level predicates in FILTERS stay as the oracle for the
+bounded enumerator and the tests.
 """
 
 from __future__ import annotations
 
-import sys
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterator, Optional
 
-from .betaset import from_beta, is_twin_free
+from .betaset import _decode_ascending, is_twin_free
 from .partition import (
     Partition,
     conjugate,
@@ -69,7 +82,7 @@ class GapPoset:
 
 def gap_poset(s: int, t: int) -> GapPoset:
     """Gap poset for the pair (s, t); requires gcd(s, t) = 1."""
-    if not isinstance(s, int) or not isinstance(t, int) or s < 1 or t < 1:
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (s, t)):
         raise ValueError(f"s and t must be positive integers, got s={s!r}, t={t!r}")
     common = gcd(s, t)
     if common != 1:
@@ -86,42 +99,58 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, gaps)
 
 
-def _down_closed_subsets(poset: GapPoset, twin_free_only: bool) -> list[frozenset[int]]:
-    """All order ideals of the gap poset, optionally restricted to twin-free ones.
+def _ideals(poset: GapPoset, twin_free: bool) -> Iterator[tuple[int, ...]]:
+    """Every order ideal of the gap poset once, as an ascending tuple.
 
-    The twin-free restriction is a sound monotone prune: adding an element
-    can never repair a consecutive pair, so rejecting x while x-1 or x+1 is
-    already chosen loses nothing.
+    Depth first: a frame holds a node's addable gaps above its last
+    element, ascending, and the position of the next one to try.  With
+    twin_free, only ideals without two consecutive elements are walked.
+    That prune is sound because elements are added in ascending order and
+    a later, larger element can never repair a consecutive pair.  Dropping
+    x + 1 from the candidates when x is added is all it takes: a gap y
+    becomes a candidate when its larger lower cover, at most y - 2, is
+    added, so it is already a candidate by the time y - 1 is added.
     """
-    order = poset.gaps
-    n = len(order)
-    needed = n + 1000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
     s, t = poset.s, poset.t
-    chosen: set[int] = set()
-    found: list[frozenset[int]] = []
-
-    def walk(i: int) -> None:
-        if i == n:
-            found.append(frozenset(chosen))
-            return
-        x = order[i]
-        walk(i + 1)  # leave x out
-        below_s = x - s
-        if below_s > 0 and below_s not in chosen:
-            return
-        below_t = x - t
-        if below_t > 0 and below_t not in chosen:
-            return
-        if twin_free_only and (x - 1 in chosen or x + 1 in chosen):
-            return
-        chosen.add(x)
-        walk(i + 1)  # take x
-        chosen.remove(x)
-
-    walk(0)
-    return found
+    gaps = poset.gaps
+    yield ()
+    if not gaps:
+        return
+    top = gaps[-1]
+    is_gap = bytearray(top + max(s, t) + 1)
+    for g in gaps:
+        is_gap[g] = 1
+    chosen = bytearray(top + 1)
+    ideal: list[int] = []
+    frames = [[g for g in gaps if g < min(s, t)]]  # the gaps without lower covers
+    starts = [0]
+    while frames:
+        candidates = frames[-1]
+        i = starts[-1]
+        if i == len(candidates):
+            frames.pop()
+            starts.pop()
+            if ideal:
+                chosen[ideal.pop()] = 0
+            continue
+        starts[-1] = i + 1
+        x = candidates[i]
+        ideal.append(x)
+        chosen[x] = 1
+        yield tuple(ideal)
+        rest = candidates[i + 1 :]
+        if twin_free and rest and rest[0] == x + 1:
+            del rest[0]
+        # x is a lower cover of x + s and x + t only; their other covers are
+        # x + s - t and x + t - s.
+        for y, other in ((x + s, x + s - t), (x + t, x + t - s)):
+            if is_gap[y] and (other <= 0 or chosen[other]):
+                insort(rest, y)
+        if rest:
+            frames.append(rest)
+            starts.append(0)
+        else:
+            chosen[ideal.pop()] = 0
 
 
 FILTERS: dict[str, Callable[[Partition], bool]] = {
@@ -141,9 +170,42 @@ def _predicate(part_filter: str) -> Callable[[Partition], bool]:
         ) from None
 
 
+def _is_self_conjugate_beta(beta: tuple[int, ...]) -> bool:
+    """conjugate(lam) == lam, read on lam's ascending beta-set.
+
+    With h = max(beta), the conjugate's beta-set (lam's first-row hooks) is
+    {0..h} minus {h - x : x in beta}.  They agree exactly when beta minus h
+    and its reflection h - (beta minus h) are disjoint and fill {1..h-1}.
+    """
+    if not beta:
+        return True
+    h = beta[-1]
+    below = beta[:-1]
+    if 2 * len(below) != h - 1:
+        return False
+    members = set(below)
+    return all(h - x not in members for x in below)
+
+
+def _is_odd_beta(beta: tuple[int, ...]) -> bool:
+    """has_odd_parts(lam), read on lam's ascending beta-set: parts are beta[j] - j."""
+    return all((x - j) & 1 for j, x in enumerate(beta))
+
+
+# What enumerate_core applies to each walked beta-set; None keeps them all.
+# `distinct` needs no check because the walk's twin-free prune guarantees it.
+BETA_FILTERS: dict[str, Optional[Callable[[tuple[int, ...]], bool]]] = {
+    "all": None,
+    "distinct": None,
+    "odd": _is_odd_beta,
+    "self_conjugate": _is_self_conjugate_beta,
+}
+
+
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
     """Sort key: size ascending, then parts lexicographically descending."""
-    return (lam.size, tuple(-p for p in lam.parts))
+    parts = lam.parts
+    return (sum(parts), tuple([-p for p in parts]))
 
 
 @dataclass(frozen=True)
@@ -161,7 +223,7 @@ class EnumerationResult:
 
 def _result(s: int, t: int, part_filter: str, found: list[Partition]) -> EnumerationResult:
     ordered = tuple(sorted(found, key=canonical_key))
-    max_size = max((lam.size for lam in ordered), default=0)
+    max_size = ordered[-1].size if ordered else 0  # sizes ascend in canonical order
     witnesses = tuple(lam for lam in ordered if lam.size == max_size)
     return EnumerationResult(s, t, part_filter, ordered, len(ordered), max_size, witnesses)
 
@@ -172,16 +234,15 @@ def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResul
     Requires gcd(s, t) = 1, otherwise the family is infinite and
     InfiniteFamilyError is raised.  Filters: all, distinct, odd,
     self_conjugate.  The distinct filter prunes the walk (twin-freeness is
-    monotone); the others are applied to each completed partition.
+    monotone); the others are applied to each walked beta-set before it is
+    decoded.
     """
-    predicate = _predicate(part_filter)
-    poset = gap_poset(s, t)
-    found = []
-    for beta in _down_closed_subsets(poset, part_filter == "distinct"):
-        lam = from_beta(beta)
-        if predicate(lam):
-            found.append(lam)
-    return _result(s, t, part_filter, found)
+    _predicate(part_filter)  # rejects unknown filters
+    keep = BETA_FILTERS[part_filter]
+    ideals = _ideals(gap_poset(s, t), twin_free=part_filter == "distinct")
+    if keep is not None:
+        ideals = filter(keep, ideals)
+    return _result(s, t, part_filter, [_decode_ascending(beta) for beta in ideals])
 
 
 def enumerate_core_bounded(

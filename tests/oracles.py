@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by a route different from the
 implementation under test: a different partition-generation algorithm,
-direct box enumeration for fixed perimeter, and restricted recursive
-counters.  Keep these dumb.
+direct box enumeration for fixed perimeter, restricted recursive
+counters, and the original recursive order-ideal walk with partition-level
+filters.  Keep these dumb.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from typing import Callable, Iterator
 
 import hypothesis.strategies as st
 
-from stcores import Partition, hook_length
+from stcores import EnumerationResult, GapPoset, Partition, from_beta, gap_poset, hook_length
+from stcores.search import FILTERS, _predicate, _result
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -39,6 +41,47 @@ def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
             take = min(chunk, remainder)
             state.append(take)
             remainder -= take
+
+
+def down_closed_subsets_recursive(poset: GapPoset, twin_free_only: bool) -> list[frozenset[int]]:
+    """All order ideals of the gap poset by recursive take/leave over the gaps.
+
+    Each gap in ascending order is either left out or, when its lower
+    covers are present, taken.  The recursion is one level per gap, so keep
+    the posets small (under ~900 gaps).
+    """
+    order = poset.gaps
+    s, t = poset.s, poset.t
+    chosen: set[int] = set()
+    found: list[frozenset[int]] = []
+
+    def walk(i: int) -> None:
+        if i == len(order):
+            found.append(frozenset(chosen))
+            return
+        x = order[i]
+        walk(i + 1)  # leave x out
+        if any(y > 0 and y not in chosen for y in (x - s, x - t)):
+            return
+        if twin_free_only and (x - 1 in chosen or x + 1 in chosen):
+            return
+        chosen.add(x)
+        walk(i + 1)  # take x
+        chosen.remove(x)
+
+    walk(0)
+    return found
+
+
+def enumerate_core_reference(s: int, t: int, part_filter: str = "all") -> EnumerationResult:
+    """enumerate_core by the recursive walk, the checked from_beta and FILTERS."""
+    predicate = _predicate(part_filter)
+    found = [
+        lam
+        for lam in map(from_beta, down_closed_subsets_recursive(gap_poset(s, t), part_filter == "distinct"))
+        if predicate(lam)
+    ]
+    return _result(s, t, part_filter, found)
 
 
 def brute_partitions_upto(max_size: int) -> list[Partition]:

@@ -63,13 +63,6 @@ def test_none_ranges_fall_back_to_defaults():
     assert report.passed
 
 
-def test_threads_give_identical_reports():
-    serial = run_claim("anderson", max_sum=11)
-    threaded = run_claim("anderson", threads=4, max_sum=11)
-    assert serial.cases == threaded.cases
-    assert serial.passed and threaded.passed
-
-
 # Harness meta-test: corrupting any formula constant must flip the matching
 # claim to FAIL.  Each entry names the module attribute the claim reads and
 # a corrupted stand-in.

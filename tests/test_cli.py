@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from stcores import claims as claims_mod
 from stcores.cli import main
 
@@ -146,14 +148,6 @@ class TestTable:
         assert code == 0
         assert len(out.splitlines()) == 14
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, serial, _ = run_cli(capsys, "table", "--max", "8", "--filter", "distinct", "--format", "csv")
-        _, threaded, _ = run_cli(
-            capsys, "table", "--max", "8", "--filter", "distinct", "--format", "csv",
-            "--threads", "4",
-        )
-        assert serial == threaded
-
     def test_json_cells(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--max", "5", "--filter", "distinct", "--format", "json",
@@ -214,6 +208,19 @@ class TestVerify:
         )
         assert code == 0
         assert "claim: all" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fib-distinct", "--max-s", "0"),
+            ("conjecture2", "--max-s", "2"),
+            ("anderson", "--max-sum", "2"),
+        ],
+    )
+    def test_empty_range_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        assert out == "" and "no cases" in err
 
     def test_failing_claim_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(claims_mod, "conjecture2_count", lambda s: 2 ** (s - 1) + 1)
@@ -330,8 +337,3 @@ class TestGlobalBehavior:
 
     def test_unknown_command_exit_1(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
-
-    def test_bad_threads_exit_1(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--max", "4", "--threads", "0")
-        assert code == 1
-        assert "threads" in err

@@ -1,3 +1,4 @@
+import sys
 from math import gcd
 
 import pytest
@@ -18,9 +19,12 @@ from stcores import (
     is_twin_free,
     to_beta,
 )
-from stcores.search import FILTERS, canonical_key
+from stcores import search
+from stcores.betaset import _decode_ascending
+from stcores.partition import conjugate
+from stcores.search import BETA_FILTERS, FILTERS, canonical_key
 
-from oracles import brute_partitions_upto, perimeter_family
+from oracles import brute_partitions_upto, enumerate_core_reference, perimeter_family
 
 
 class TestGapPoset:
@@ -58,7 +62,7 @@ class TestGapPoset:
         assert "infinite family" in str(err.value)
         assert str(common) in str(err.value)
 
-    @pytest.mark.parametrize("s,t", [(0, 3), (3, 0), (-1, 2)])
+    @pytest.mark.parametrize("s,t", [(0, 3), (3, 0), (-1, 2), (True, 2), (2, False)])
     def test_rejects_nonpositive(self, s, t):
         with pytest.raises(ValueError):
             gap_poset(s, t)
@@ -148,6 +152,45 @@ class TestEnumerateCore:
         for lam in result.partitions:
             assert FILTERS["self_conjugate"](lam)
         assert result.count == 6  # C(2 + 2, 2)
+
+
+class TestBetaSetPath:
+    """The walk with beta-set filters against the recursive walk with FILTERS."""
+
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_matches_recursive_walk_oracle(self, part_filter):
+        for s in range(1, 11):
+            for t in range(1, 11):
+                if gcd(s, t) == 1:
+                    fast = enumerate_core(s, t, part_filter)
+                    assert fast == enumerate_core_reference(s, t, part_filter), (s, t)
+
+    def test_filter_tables_agree(self):
+        assert BETA_FILTERS.keys() == FILTERS.keys()
+
+    def test_self_conjugate_beta_predicate_exhaustive(self):
+        keep = BETA_FILTERS["self_conjugate"]
+        for lam in brute_partitions_upto(14):
+            assert keep(tuple(sorted(to_beta(lam)))) == (conjugate(lam) == lam), lam
+
+    def test_odd_beta_predicate_exhaustive(self):
+        keep = BETA_FILTERS["odd"]
+        for lam in brute_partitions_upto(14):
+            assert keep(tuple(sorted(to_beta(lam)))) == has_odd_parts(lam), lam
+
+    def test_unchecked_decode_exhaustive(self):
+        for lam in brute_partitions_upto(14):
+            decoded = _decode_ascending(tuple(sorted(to_beta(lam))))
+            assert decoded == lam
+            assert Partition(decoded.parts) == decoded  # would pass the skipped checks
+
+    def test_recursion_limit_untouched(self):
+        limit = sys.getrecursionlimit()
+        assert enumerate_core(3, 4).count == 5
+        # (2, 2501) has a chain of 1250 gaps, deeper than the default limit
+        assert enumerate_core(2, 2501).count == 1251
+        assert sys.getrecursionlimit() == limit
+        assert not hasattr(search, "sys")
 
 
 class TestEnumerateCoreBounded:
