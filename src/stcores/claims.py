@@ -15,6 +15,7 @@ from math import gcd
 from typing import Callable
 
 from . import search, sequences
+from .sequences import _exact_div
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,6 @@ class Claim:
 
 def _case(params: dict, expected, got) -> ClaimCase:
     return ClaimCase(params, str(expected), str(got), expected == got)
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return q
 
 
 # Closed forms behind the max-size and power-of-two claims.
@@ -287,8 +281,19 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
+def _guarded_cases(claim: Claim, params: dict) -> list[ClaimCase]:
+    """The claim's cases for params; a builder that raises yields one FAIL case."""
+    try:
+        return claim.cases(params)
+    except Exception as exc:  # a broken formula or enumerator fails the claim, not the run
+        return [ClaimCase(params, "no exception", type(exc).__name__, False)]
+
+
 def run_claim(name: str, **ranges: int) -> VerificationReport:
-    """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError."""
+    """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError.
+
+    A case builder that raises does not end the run: it becomes a FAIL case.
+    """
     claim = CLAIMS[name]
     merged = dict(claim.defaults)
     for key, value in ranges.items():
@@ -305,7 +310,7 @@ def run_claim(name: str, **ranges: int) -> VerificationReport:
     described = claim.describe_range(**merged)
     if not param_list:
         raise ValueError(f"claim {name!r} has no cases in the range {described}")
-    cases = tuple(chain.from_iterable(claim.cases(p) for p in param_list))
+    cases = tuple(chain.from_iterable(_guarded_cases(claim, p) for p in param_list))
     return VerificationReport(
         claim=name,
         range=described,

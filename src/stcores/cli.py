@@ -1,7 +1,8 @@
 """Command-line surface: enumerate, table, verify, bijection, render.
 
-Exit codes: 0 success / verification passed, 1 usage error, 2 the request
-names a mathematically infinite family, 3 verification failed.
+Exit codes: 0 success / verification passed, 1 usage error or a failed
+--out write, 2 the request names a mathematically infinite family,
+3 verification failed; `main` alone maps errors to them.
 
 Output goes to stdout (or a --out file) in one of three formats: text
 (human readable), json (stable schema, counts string-encoded so consumers
@@ -11,21 +12,17 @@ never overflow), csv (byte-stable; used for table golden files).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from math import gcd
 from typing import Optional
 
 from .bijection import inverse_lambda_d, inverse_lambda_o, is_composition, lambda_d, lambda_o
-from .claims import CLAIMS, ClaimCase, VerificationReport, run_claim
+from .claims import CLAIMS, run_claim
 from .partition import Partition, hook_length, perimeter
-from .search import (
-    FILTERS,
-    EnumerationResult,
-    InfiniteFamilyError,
-    enumerate_core,
-    enumerate_core_bounded,
-)
+from .search import FILTERS, InfiniteFamilyError, enumerate_core, enumerate_core_bounded
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,6 +32,7 @@ EXIT_VERIFY_FAILED = 3
 TABLE_CAP = 12
 INF_CSV = "inf"
 INF_TEXT = "∞"
+INF_DEFAULT = {"text": INF_TEXT}  # every other format defaults to INF_CSV
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,267 +56,203 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {text!r} as a comma-separated integer list") from None
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+def _json_dump(payload: dict) -> list[str]:
+    return [json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)]
+
+
+def _paren(parts) -> str:
+    return "(" + ",".join(str(p) for p in parts) + ")"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    """Write to stdout, or to `out` through a temp file renamed into place."""
+    if not out:
         sys.stdout.write(text)
+        return
+    head, name = os.path.split(out)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
+# Each _cmd_* validates its arguments, raising ValueError (exit 1) or
+# InfiniteFamilyError (exit 2), and returns the JSON payload.  The text and
+# csv renderers below read only that payload.
 
 # ---------------------------------------------------------------- enumerate
 
-def _enumeration_payload(result: EnumerationResult, bound: Optional[int]) -> dict:
+def _cmd_enumerate(args) -> dict:
+    if args.s < 1 or args.t < 1:
+        raise ValueError("--s and --t must be positive integers")
+    if args.bound is not None:
+        if args.bound < 0:
+            raise ValueError("--bound must be nonnegative")
+        result = enumerate_core_bounded(args.s, args.t, args.part_filter, args.bound)
+        print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
+    else:
+        result = enumerate_core(args.s, args.t, args.part_filter)
     payload = {
         "s": result.s,
         "t": result.t,
         "filter": result.filter,
         "count": str(result.count),
         "max_size": result.max_size,
-        "witnesses": [list(lam.parts) for lam in result.max_size_witnesses],
-        "partitions": [list(lam.parts) for lam in result.partitions],
+        "witnesses": [lam.parts for lam in result.max_size_witnesses],
+        "partitions": [lam.parts for lam in result.partitions],
     }
-    if bound is not None:
+    if args.bound is not None:
         payload["partial"] = True
-        payload["bound"] = bound
+        payload["bound"] = args.bound
     return payload
 
 
-def _render_enumeration(result: EnumerationResult, fmt: str, bound: Optional[int]) -> str:
-    if fmt == "json":
-        return _json_dump(_enumeration_payload(result, bound))
-    if fmt == "csv":
-        lines = ["size,parts"]
-        lines += [f"{lam.size},{' '.join(str(p) for p in lam.parts)}" for lam in result.partitions]
-        return "\n".join(lines) + "\n"
-    header = f"({result.s},{result.t})-core partitions, filter {result.filter}"
-    if bound is not None:
-        header += f" [partial: sizes <= {bound} only]"
-    lines = [
+def _enumerate_text(p: dict) -> list[str]:
+    header = f"({p['s']},{p['t']})-core partitions, filter {p['filter']}"
+    if "bound" in p:
+        header += f" [partial: sizes <= {p['bound']} only]"
+    return [
         header,
-        f"count: {result.count}",
-        f"max size: {result.max_size}",
-        "max-size witnesses: " + " ".join(str(lam) for lam in result.max_size_witnesses),
+        f"count: {p['count']}",
+        f"max size: {p['max_size']}",
+        "max-size witnesses: " + " ".join(_paren(w) for w in p["witnesses"]),
         "partitions:",
+        *(f"  {_paren(parts)}" for parts in p["partitions"]),
     ]
-    lines += [f"  {lam}" for lam in result.partitions]
-    return "\n".join(lines) + "\n"
 
 
-def _cmd_enumerate(args) -> int:
-    if args.s < 1 or args.t < 1:
-        return _fail("--s and --t must be positive integers")
-    try:
-        if args.bound is not None:
-            if args.bound < 0:
-                return _fail("--bound must be nonnegative")
-            result = enumerate_core_bounded(args.s, args.t, args.part_filter, args.bound)
-        else:
-            result = enumerate_core(args.s, args.t, args.part_filter)
-    except InfiniteFamilyError as exc:
-        print(
-            f"error: {exc}; pass --bound H for a partial listing of sizes <= H",
-            file=sys.stderr,
-        )
-        return EXIT_INFINITE
-    except ValueError as exc:
-        return _fail(str(exc))
-    if args.bound is not None:
-        print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
-    _emit(_render_enumeration(result, args.format, args.bound), args.out)
-    return EXIT_OK
+def _enumerate_csv(p: dict) -> list[str]:
+    return ["size,parts"] + [
+        f"{sum(parts)},{' '.join(str(x) for x in parts)}" for parts in p["partitions"]
+    ]
 
 
 # ------------------------------------------------------------------- table
 
-def _table_cells(max_s: int, max_t: int, part_filter: str) -> list[list[Optional[int]]]:
-    """Grid of counts, None marking infinite (non-coprime) cells."""
-    return [
+def _cmd_table(args) -> dict:
+    max_s = args.max if args.max is not None else args.max_s
+    max_t = args.max if args.max is not None else args.max_t
+    if max_s < 1 or max_t < 1:
+        raise ValueError("table dimensions must be positive")
+    if (max_s > TABLE_CAP or max_t > TABLE_CAP) and not args.force:
+        raise ValueError(
+            f"requested table exceeds the default cap of {TABLE_CAP}; rerun with --force"
+        )
+    marker = args.inf_marker
+    if marker is None:
+        marker = INF_DEFAULT.get(args.format, INF_CSV)
+    cells = [
         [
-            enumerate_core(s, t, part_filter).count if gcd(s, t) == 1 else None
+            str(enumerate_core(s, t, args.part_filter).count) if gcd(s, t) == 1 else marker
             for t in range(1, max_t + 1)
         ]
         for s in range(1, max_s + 1)
     ]
+    return {"filter": args.part_filter, "max_s": max_s, "max_t": max_t, "cells": cells}
 
 
-def _render_table(
-    cells: list[list[Optional[int]]], max_s: int, max_t: int, part_filter: str,
-    fmt: str, inf_marker: Optional[str],
-) -> str:
-    if fmt == "csv":
-        marker = inf_marker if inf_marker is not None else INF_CSV
-        lines = ["s\\t," + ",".join(str(t) for t in range(1, max_t + 1))]
-        for s in range(1, max_s + 1):
-            row = [str(s)] + [marker if c is None else str(c) for c in cells[s - 1]]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        marker = inf_marker if inf_marker is not None else INF_CSV
-        payload = {
-            "filter": part_filter,
-            "max_s": max_s,
-            "max_t": max_t,
-            "cells": [[marker if c is None else str(c) for c in row] for row in cells],
-        }
-        return _json_dump(payload)
-    marker = inf_marker if inf_marker is not None else INF_TEXT
-    body = [[marker if c is None else str(c) for c in row] for row in cells]
-    widths = [
-        max(len(str(t)), max(len(body[s - 1][t - 1]) for s in range(1, max_s + 1)))
-        for t in range(1, max_t + 1)
+def _table_text(p: dict) -> list[str]:
+    cells = p["cells"]
+    heads = [str(t) for t in range(1, p["max_t"] + 1)]
+    widths = [max(len(head), *(len(row[j]) for row in cells)) for j, head in enumerate(heads)]
+    left = max(3, len(str(p["max_s"])))
+    rows = [("s\\t", heads)] + [(str(s), row) for s, row in enumerate(cells, 1)]
+    return [
+        label.ljust(left) + "  " + "  ".join(c.rjust(w) for c, w in zip(row, widths))
+        for label, row in rows
     ]
-    left = max(3, len(str(max_s)))
-    lines = ["s\\t".ljust(left) + "  " + "  ".join(str(t).rjust(widths[t - 1]) for t in range(1, max_t + 1))]
-    for s in range(1, max_s + 1):
-        lines.append(
-            str(s).ljust(left)
-            + "  "
-            + "  ".join(body[s - 1][t - 1].rjust(widths[t - 1]) for t in range(1, max_t + 1))
-        )
-    return "\n".join(lines) + "\n"
 
 
-def _cmd_table(args) -> int:
-    max_s = args.max if args.max is not None else args.max_s
-    max_t = args.max if args.max is not None else args.max_t
-    if max_s < 1 or max_t < 1:
-        return _fail("table dimensions must be positive")
-    if (max_s > TABLE_CAP or max_t > TABLE_CAP) and not args.force:
-        return _fail(
-            f"requested table exceeds the default cap of {TABLE_CAP}; rerun with --force"
-        )
-    cells = _table_cells(max_s, max_t, args.part_filter)
-    _emit(_render_table(cells, max_s, max_t, args.part_filter, args.format, args.inf_marker), args.out)
-    return EXIT_OK
+def _table_csv(p: dict) -> list[str]:
+    return [",".join(["s\\t", *(str(t) for t in range(1, p["max_t"] + 1))])] + [
+        ",".join([str(s), *row]) for s, row in enumerate(p["cells"], 1)
+    ]
 
 
 # ------------------------------------------------------------------ verify
 
-def _report_payload(report: VerificationReport) -> dict:
+def _cmd_verify(args) -> dict:
+    ranges = {k: getattr(args, k) for k in ("max_s", "max_m", "max_d", "max_sum")}
+    merged = args.claim == "all"  # every claim, with the range flags each one accepts
+    reports = [
+        run_claim(n, **{k: v for k, v in ranges.items() if not merged or k in CLAIMS[n].defaults})
+        for n in (CLAIMS if merged else [args.claim])
+    ]
     return {
-        "claim": report.claim,
-        "range": report.range,
+        "claim": args.claim,
+        "range": "; ".join(f"{r.claim}: {r.range}" if merged else r.range for r in reports),
         "cases": [
-            {"params": c.params, "expected": c.expected, "got": c.got, "ok": c.ok}
-            for c in report.cases
+            {"params": {"claim": r.claim, **c.params} if merged else c.params,
+             "expected": c.expected, "got": c.got, "ok": c.ok}
+            for r in reports
+            for c in r.cases
         ],
-        "pass": report.passed,
-        "seconds": round(report.seconds, 6),
+        "pass": all(r.passed for r in reports),
+        "seconds": round(sum(r.seconds for r in reports), 6),
     }
 
 
-def _merge_reports(reports: list[VerificationReport]) -> VerificationReport:
-    cases = tuple(
-        ClaimCase(dict({"claim": r.claim}, **c.params), c.expected, c.got, c.ok)
-        for r in reports
-        for c in r.cases
-    )
-    return VerificationReport(
-        claim="all",
-        range="; ".join(f"{r.claim}: {r.range}" for r in reports),
-        cases=cases,
-        passed=all(r.passed for r in reports),
-        seconds=sum(r.seconds for r in reports),
-    )
+def _params_text(case: dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in case["params"].items())
 
 
-def _render_report(report: VerificationReport, fmt: str) -> str:
-    if fmt == "json":
-        return _json_dump(_report_payload(report))
-    if fmt == "csv":
-        lines = ["claim,params,expected,got,ok"]
-        for c in report.cases:
-            params = " ".join(f"{k}={v}" for k, v in c.params.items())
-            lines.append(f"{report.claim},{params},{c.expected},{c.got},{c.ok}")
-        return "\n".join(lines) + "\n"
-    summary = CLAIMS[report.claim].summary if report.claim in CLAIMS else ""
-    lines = [f"claim: {report.claim}"]
-    if summary:
-        lines.append(f"  {summary}")
-    lines.append(f"range: {report.range}")
-    for c in report.cases:
-        params = " ".join(f"{k}={v}" for k, v in c.params.items())
-        mark = "ok  " if c.ok else "FAIL"
-        lines.append(f"  {mark} {params}: expected {c.expected}, got {c.got}")
-    verdict = "PASS" if report.passed else f"FAIL ({len(report.mismatches)} mismatches)"
-    lines.append(f"result: {verdict} ({len(report.cases)} cases, {report.seconds:.2f}s)")
-    return "\n".join(lines) + "\n"
+def _verify_text(p: dict) -> list[str]:
+    lines = [f"claim: {p['claim']}"]
+    if p["claim"] in CLAIMS:
+        lines.append(f"  {CLAIMS[p['claim']].summary}")
+    lines.append(f"range: {p['range']}")
+    for c in p["cases"]:
+        mark = "ok  " if c["ok"] else "FAIL"
+        lines.append(f"  {mark} {_params_text(c)}: expected {c['expected']}, got {c['got']}")
+    failed = sum(not c["ok"] for c in p["cases"])
+    verdict = "PASS" if p["pass"] else f"FAIL ({failed} mismatches)"
+    lines.append(f"result: {verdict} ({len(p['cases'])} cases, {p['seconds']:.2f}s)")
+    return lines
 
 
-def _cmd_verify(args) -> int:
-    names = list(CLAIMS) if args.claim == "all" else [args.claim]
-    ranges = {
-        "max_s": args.max_s,
-        "max_m": args.max_m,
-        "max_d": args.max_d,
-        "max_sum": args.max_sum,
-    }
-    reports = []
-    for name in names:
-        applicable = (
-            {k: v for k, v in ranges.items() if k in CLAIMS[name].defaults}
-            if args.claim == "all"
-            else ranges
-        )
-        try:
-            reports.append(run_claim(name, **applicable))
-        except ValueError as exc:
-            return _fail(str(exc))
-    report = reports[0] if len(reports) == 1 else _merge_reports(reports)
-    _emit(_render_report(report, args.format), args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+def _verify_csv(p: dict) -> list[str]:
+    return ["claim,params,expected,got,ok"] + [
+        f"{p['claim']},{_params_text(c)},{c['expected']},{c['got']},{c['ok']}" for c in p["cases"]
+    ]
 
 
 # ---------------------------------------------------------------- bijection
 
-def _cmd_bijection(args) -> int:
-    try:
-        if args.mu is not None:
-            mu = _parse_int_list(args.mu)
-            if not is_composition(mu):
-                raise ValueError(
-                    f"invalid composition {mu}: parts must be 1 or 2 and the last part must be 1"
-                )
-        elif args.distinct is not None:
-            mu = inverse_lambda_d(Partition(_parse_int_list(args.distinct)))
-        else:
-            mu = inverse_lambda_o(Partition(_parse_int_list(args.odd)))
-        image_d = lambda_d(mu)
-        image_o = lambda_o(mu)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if args.format == "json":
-        payload = {
-            "mu": list(mu),
-            "lambda_d": list(image_d.parts),
-            "lambda_o": list(image_o.parts),
-            "perimeter": sum(mu),
-            "size_d": image_d.size,
-            "size_o": image_o.size,
-        }
-        _emit(_json_dump(payload), args.out)
-        return EXIT_OK
-    if args.format == "csv":
-        return _fail("csv format is not supported for bijection; use text or json")
-    mu_text = "(" + ",".join(str(x) for x in mu) + ")"
-    lines = [
-        f"mu        = {mu_text}",
-        f"lambda_d  = {image_d}   size {image_d.size}",
-        f"lambda_o  = {image_o}   size {image_o.size}",
-        f"perimeter = {sum(mu)}",
+def _cmd_bijection(args) -> dict:
+    if args.mu is not None:
+        mu = _parse_int_list(args.mu)
+        if not is_composition(mu):
+            raise ValueError(
+                f"invalid composition {mu}: parts must be 1 or 2 and the last part must be 1"
+            )
+    elif args.distinct is not None:
+        mu = inverse_lambda_d(Partition(_parse_int_list(args.distinct)))
+    else:
+        mu = inverse_lambda_o(Partition(_parse_int_list(args.odd)))
+    image_d = lambda_d(mu)
+    image_o = lambda_o(mu)
+    return {
+        "mu": mu,
+        "lambda_d": image_d.parts,
+        "lambda_o": image_o.parts,
+        "perimeter": sum(mu),
+        "size_d": image_d.size,
+        "size_o": image_o.size,
+    }
+
+
+def _bijection_text(p: dict) -> list[str]:
+    return [
+        f"mu        = {_paren(p['mu'])}",
+        f"lambda_d  = {_paren(p['lambda_d'])}   size {p['size_d']}",
+        f"lambda_o  = {_paren(p['lambda_o'])}   size {p['size_o']}",
+        f"perimeter = {p['perimeter']}",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------- render
@@ -335,20 +269,21 @@ def _diagram_rows(lam: Partition, with_hooks: bool) -> list[str]:
     ]
 
 
-def _cmd_render(args) -> int:
-    try:
-        lam = Partition(_parse_int_list(args.partition))
-    except ValueError as exc:
-        return _fail(str(exc))
+def _cmd_render(args) -> dict:
+    lam = Partition(_parse_int_list(args.partition))
     rows = _diagram_rows(lam, args.hooks)
-    if args.format == "json":
-        payload = {"partition": list(lam.parts), "perimeter": perimeter(lam), "rows": rows}
-        _emit(_json_dump(payload), args.out)
-        return EXIT_OK
-    if args.format == "csv":
-        return _fail("csv format is not supported for render; use text or json")
-    _emit("\n".join(rows) + "\n", args.out)
-    return EXIT_OK
+    return {"partition": lam.parts, "perimeter": perimeter(lam), "rows": rows}
+
+
+# Text and csv renderers per command; json is _json_dump for every command.
+# A missing entry is a usage error.
+RENDERERS = {
+    "enumerate": {"text": _enumerate_text, "csv": _enumerate_csv},
+    "table": {"text": _table_text, "csv": _table_csv},
+    "verify": {"text": _verify_text, "csv": _verify_csv},
+    "bijection": {"text": _bijection_text},
+    "render": {"text": lambda p: p["rows"]},
+}
 
 
 # -------------------------------------------------------------------- main
@@ -441,7 +376,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        payload = args.func(args)
+        render = {"json": _json_dump, **RENDERERS[args.command]}.get(args.format)
+        if render is None:
+            raise ValueError(
+                f"{args.format} format is not supported for {args.command}; use text or json"
+            )
+        _emit("\n".join(render(payload)) + "\n", args.out)
+    except InfiniteFamilyError as exc:
+        message, code = f"{exc}; pass --bound H for a partial listing of sizes <= H", EXIT_INFINITE
+    except ValueError as exc:
+        message, code = str(exc), EXIT_USAGE
+    except OSError as exc:
+        message, code = f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}", EXIT_USAGE
+    else:
+        return EXIT_VERIFY_FAILED if payload.get("pass") is False else EXIT_OK
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

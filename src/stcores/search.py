@@ -36,7 +36,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .betaset import _decode_ascending, is_twin_free
@@ -48,19 +47,7 @@ from .partition import (
     is_t_core,
     partitions_of,
 )
-
-
-class InfiniteFamilyError(ValueError):
-    """The requested (s, t)-core family is infinite because gcd(s, t) > 1."""
-
-    def __init__(self, s: int, t: int, common: int):
-        self.s = s
-        self.t = t
-        self.common = common
-        super().__init__(
-            f"({s}, {t})-core partitions form an infinite family: "
-            f"gcd({s}, {t}) = {common} > 1, so there is no finite count"
-        )
+from .sequences import InfiniteFamilyError, _require_coprime  # the error is re-exported here
 
 
 @dataclass(frozen=True)
@@ -82,11 +69,7 @@ class GapPoset:
 
 def gap_poset(s: int, t: int) -> GapPoset:
     """Gap poset for the pair (s, t); requires gcd(s, t) = 1."""
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (s, t)):
-        raise ValueError(f"s and t must be positive integers, got s={s!r}, t={t!r}")
-    common = gcd(s, t)
-    if common != 1:
-        raise InfiniteFamilyError(s, t, common)
+    _require_coprime(s, t)
     if s == 1 or t == 1:
         return GapPoset(s, t, ())
     frob = s * t - s - t

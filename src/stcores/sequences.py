@@ -31,12 +31,26 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+class InfiniteFamilyError(ValueError):
+    """The requested (s, t)-core family is infinite because gcd(s, t) > 1."""
+
+    def __init__(self, s: int, t: int, common: int):
+        self.s = s
+        self.t = t
+        self.common = common
+        super().__init__(
+            f"({s}, {t})-core partitions form an infinite family: "
+            f"gcd({s}, {t}) = {common} > 1, so there is no finite count"
+        )
+
+
 def _require_coprime(s: int, t: int) -> None:
-    if s < 1 or t < 1:
+    """Reject non-int, bool or nonpositive s, t (ValueError) and gcd(s, t) > 1."""
+    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (s, t)):
         raise ValueError(f"s and t must be positive integers, got s={s!r}, t={t!r}")
     common = gcd(s, t)
     if common != 1:
-        raise ValueError(f"s and t must be coprime, gcd({s}, {t}) = {common}")
+        raise InfiniteFamilyError(s, t, common)
 
 
 def anderson_count(s: int, t: int) -> int:

@@ -95,3 +95,14 @@ def test_mutated_formula_fails_its_claim(monkeypatch, name, module, attr, mutant
     corrupted = run_claim(name, **ranges)
     assert not corrupted.passed
     assert corrupted.mismatches
+
+
+def test_raising_case_builder_is_a_failed_case(monkeypatch):
+    def broken(s, t):
+        raise ArithmeticError("corrupted closed form")
+
+    monkeypatch.setattr(sequences_mod, "anderson_count", broken)
+    report = run_claim("anderson", max_sum=8)
+    assert not report.passed
+    assert report.mismatches
+    assert all(case.got == "ArithmeticError" for case in report.mismatches)

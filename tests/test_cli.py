@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from stcores import claims as claims_mod
+from stcores import sequences as sequences_mod
 from stcores.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "distinct_core_counts_12x12.csv"
@@ -229,6 +230,16 @@ class TestVerify:
         assert "FAIL" in out
         assert "mismatch" in out
 
+    def test_raising_closed_form_exits_3(self, capsys, monkeypatch):
+        def broken(s, t):
+            raise ArithmeticError("corrupted closed form")
+
+        monkeypatch.setattr(sequences_mod, "anderson_count", broken)
+        code, out, err = run_cli(capsys, "verify", "anderson", "--max-sum", "8")
+        assert code == 3
+        assert "got ArithmeticError" in out and "FAIL" in out
+        assert err == ""
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "fib-distinct", "--max-s", "5", "--format", "csv",
@@ -326,6 +337,69 @@ class TestRender:
         assert redump == out
         assert payload["rows"] == ["5 3 1", "3 1", "1"]
         assert payload["perimeter"] == 5
+
+
+class TestFormatTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [("bijection", "--mu", "1,2,1"), ("render", "--partition", "3,1")],
+        ids=["bijection", "render"],
+    )
+    def test_csv_unsupported_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert f"csv format is not supported for {argv[0]}" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("bijection", "--mu", "1,2"), "last part"),
+            (("render", "--partition", "1,2"), "weakly decreasing"),
+        ],
+        ids=["bijection", "render"],
+    )
+    def test_input_error_wins_over_csv(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 1
+        assert out == ""
+        assert message in err and "csv" not in err
+
+
+class TestOut:
+    def test_missing_directory_exit_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "result.txt"
+        code, out, err = run_cli(capsys, "render", "--partition", "2,1", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert not target.parent.exists()
+
+    def test_directory_target_exit_1(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, out, err = run_cli(capsys, "render", "--partition", "2,1", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert "cannot write" in err
+        assert list(tmp_path.iterdir()) == [target]  # no temp file left behind
+
+    def test_failed_request_leaves_existing_file_intact(self, capsys, tmp_path):
+        target = tmp_path / "result.txt"
+        target.write_bytes(b"previous output\n")
+        code, out, _ = run_cli(capsys, "enumerate", "--s", "2", "--t", "4", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert target.read_bytes() == b"previous output\n"
+
+    def test_replaces_existing_file_without_leftovers(self, capsys, tmp_path):
+        target = tmp_path / "result.txt"
+        target.write_text("previous output\n")
+        code, out, _ = run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_text() == "###\n#\n"
+        assert list(tmp_path.iterdir()) == [target]
 
 
 class TestGlobalBehavior:

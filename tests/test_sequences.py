@@ -1,7 +1,9 @@
 import pytest
 
+import stcores
 from stcores import (
     CountPolynomial,
+    InfiniteFamilyError,
     anderson_count,
     catalan,
     check_core_twinfree_identity,
@@ -57,6 +59,15 @@ class TestBinomialForms:
             fn(4, 6)
         with pytest.raises(ValueError):
             fn(0, 3)
+        with pytest.raises(ValueError):
+            fn(True, 3)
+        with pytest.raises(InfiniteFamilyError) as err:
+            fn(2, 4)
+        assert err.value.common == 2
+
+    def test_one_infinite_family_error(self):
+        assert stcores.search.InfiniteFamilyError is InfiniteFamilyError
+        assert stcores.sequences.InfiniteFamilyError is InfiniteFamilyError
 
 
 class TestCountPolynomial:
