@@ -15,13 +15,14 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 from math import gcd
 from typing import Optional
 
 from .bijection import inverse_lambda_d, inverse_lambda_o, is_composition, lambda_d, lambda_o
 from .claims import CLAIMS, run_claim
-from .partition import Partition, hook_length, perimeter
+from .partition import Partition, format_parts, hook_length, perimeter
 from .search import FILTERS, InfiniteFamilyError, enumerate_core, enumerate_core_bounded
 
 EXIT_OK = 0
@@ -32,7 +33,6 @@ EXIT_VERIFY_FAILED = 3
 TABLE_CAP = 12
 INF_CSV = "inf"
 INF_TEXT = "∞"
-INF_DEFAULT = {"text": INF_TEXT}  # every other format defaults to INF_CSV
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,26 +56,39 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {text!r} as a comma-separated integer list") from None
 
 
-def _json_dump(payload: dict) -> list[str]:
-    return [json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)]
-
-
-def _paren(parts) -> str:
-    return "(" + ",".join(str(p) for p in parts) + ")"
+def _json_dump(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    """Write to stdout, or to `out` through a temp file renamed into place."""
+    """Write to stdout, or to the file `out` with symlinks followed.
+
+    A new or regular file (one link, our owner and group) is renamed into
+    place from a temp file with its mode, so a failed write keeps the old
+    bytes; other targets, such as /dev/null or a FIFO, are written in place.
+    """
     if not out:
         sys.stdout.write(text)
         return
-    head, name = os.path.split(out)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+    old = os.stat(out) if os.path.exists(out) else None
+    if old is not None and not (
+        stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+        and (not hasattr(os, "geteuid") or (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid()))
+    ):
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, out)
-    except OSError:
+        return
+    target = os.path.realpath(out)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # if this raises, tmp is not ours to remove
+    try:
+        with fh:
+            fh.write(text)
+        if old is not None:
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
+        os.replace(tmp, target)
+    except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
@@ -107,29 +120,28 @@ def _cmd_enumerate(args) -> dict:
         "partitions": [lam.parts for lam in result.partitions],
     }
     if args.bound is not None:
-        payload["partial"] = True
-        payload["bound"] = args.bound
+        payload.update(partial=True, bound=args.bound)
     return payload
 
 
-def _enumerate_text(p: dict) -> list[str]:
+def _enumerate_text(p: dict) -> str:
     header = f"({p['s']},{p['t']})-core partitions, filter {p['filter']}"
     if "bound" in p:
         header += f" [partial: sizes <= {p['bound']} only]"
-    return [
+    return "\n".join([
         header,
         f"count: {p['count']}",
         f"max size: {p['max_size']}",
-        "max-size witnesses: " + " ".join(_paren(w) for w in p["witnesses"]),
+        "max-size witnesses: " + " ".join(format_parts(w) for w in p["witnesses"]),
         "partitions:",
-        *(f"  {_paren(parts)}" for parts in p["partitions"]),
-    ]
+        *(f"  {format_parts(parts)}" for parts in p["partitions"]),
+    ])
 
 
-def _enumerate_csv(p: dict) -> list[str]:
-    return ["size,parts"] + [
+def _enumerate_csv(p: dict) -> str:
+    return "\n".join(["size,parts"] + [
         f"{sum(parts)},{' '.join(str(x) for x in parts)}" for parts in p["partitions"]
-    ]
+    ])
 
 
 # ------------------------------------------------------------------- table
@@ -143,35 +155,32 @@ def _cmd_table(args) -> dict:
         raise ValueError(
             f"requested table exceeds the default cap of {TABLE_CAP}; rerun with --force"
         )
-    marker = args.inf_marker
-    if marker is None:
-        marker = INF_DEFAULT.get(args.format, INF_CSV)
+    default = INF_TEXT if args.format == "text" else INF_CSV
+    marker = default if args.inf_marker is None else args.inf_marker
     cells = [
-        [
-            str(enumerate_core(s, t, args.part_filter).count) if gcd(s, t) == 1 else marker
-            for t in range(1, max_t + 1)
-        ]
+        [str(enumerate_core(s, t, args.part_filter).count) if gcd(s, t) == 1 else marker
+         for t in range(1, max_t + 1)]
         for s in range(1, max_s + 1)
     ]
     return {"filter": args.part_filter, "max_s": max_s, "max_t": max_t, "cells": cells}
 
 
-def _table_text(p: dict) -> list[str]:
+def _table_text(p: dict) -> str:
     cells = p["cells"]
     heads = [str(t) for t in range(1, p["max_t"] + 1)]
     widths = [max(len(head), *(len(row[j]) for row in cells)) for j, head in enumerate(heads)]
     left = max(3, len(str(p["max_s"])))
     rows = [("s\\t", heads)] + [(str(s), row) for s, row in enumerate(cells, 1)]
-    return [
+    return "\n".join(
         label.ljust(left) + "  " + "  ".join(c.rjust(w) for c, w in zip(row, widths))
         for label, row in rows
-    ]
+    )
 
 
-def _table_csv(p: dict) -> list[str]:
-    return [",".join(["s\\t", *(str(t) for t in range(1, p["max_t"] + 1))])] + [
-        ",".join([str(s), *row]) for s, row in enumerate(p["cells"], 1)
-    ]
+def _render_table(p: dict) -> str:
+    """The table as csv.  Looked up by name per call: perfbench's corruption test patches it."""
+    head = ",".join(["s\\t", *(str(t) for t in range(1, p["max_t"] + 1))])
+    return "\n".join([head] + [",".join([str(s), *row]) for s, row in enumerate(p["cells"], 1)])
 
 
 # ------------------------------------------------------------------ verify
@@ -189,8 +198,7 @@ def _cmd_verify(args) -> dict:
         "cases": [
             {"params": {"claim": r.claim, **c.params} if merged else c.params,
              "expected": c.expected, "got": c.got, "ok": c.ok}
-            for r in reports
-            for c in r.cases
+            for r in reports for c in r.cases
         ],
         "pass": all(r.passed for r in reports),
         "seconds": round(sum(r.seconds for r in reports), 6),
@@ -201,7 +209,7 @@ def _params_text(case: dict) -> str:
     return " ".join(f"{k}={v}" for k, v in case["params"].items())
 
 
-def _verify_text(p: dict) -> list[str]:
+def _verify_text(p: dict) -> str:
     lines = [f"claim: {p['claim']}"]
     if p["claim"] in CLAIMS:
         lines.append(f"  {CLAIMS[p['claim']].summary}")
@@ -212,13 +220,13 @@ def _verify_text(p: dict) -> list[str]:
     failed = sum(not c["ok"] for c in p["cases"])
     verdict = "PASS" if p["pass"] else f"FAIL ({failed} mismatches)"
     lines.append(f"result: {verdict} ({len(p['cases'])} cases, {p['seconds']:.2f}s)")
-    return lines
+    return "\n".join(lines)
 
 
-def _verify_csv(p: dict) -> list[str]:
-    return ["claim,params,expected,got,ok"] + [
+def _verify_csv(p: dict) -> str:
+    return "\n".join(["claim,params,expected,got,ok"] + [
         f"{p['claim']},{_params_text(c)},{c['expected']},{c['got']},{c['ok']}" for c in p["cases"]
-    ]
+    ])
 
 
 # ---------------------------------------------------------------- bijection
@@ -246,13 +254,13 @@ def _cmd_bijection(args) -> dict:
     }
 
 
-def _bijection_text(p: dict) -> list[str]:
-    return [
-        f"mu        = {_paren(p['mu'])}",
-        f"lambda_d  = {_paren(p['lambda_d'])}   size {p['size_d']}",
-        f"lambda_o  = {_paren(p['lambda_o'])}   size {p['size_o']}",
+def _bijection_text(p: dict) -> str:
+    return "\n".join([
+        f"mu        = {format_parts(p['mu'])}",
+        f"lambda_d  = {format_parts(p['lambda_d'])}   size {p['size_d']}",
+        f"lambda_o  = {format_parts(p['lambda_o'])}   size {p['size_o']}",
         f"perimeter = {p['perimeter']}",
-    ]
+    ])
 
 
 # ------------------------------------------------------------------- render
@@ -279,10 +287,10 @@ def _cmd_render(args) -> dict:
 # A missing entry is a usage error.
 RENDERERS = {
     "enumerate": {"text": _enumerate_text, "csv": _enumerate_csv},
-    "table": {"text": _table_text, "csv": _table_csv},
+    "table": {"text": _table_text, "csv": lambda p: _render_table(p)},
     "verify": {"text": _verify_text, "csv": _verify_csv},
     "bijection": {"text": _bijection_text},
-    "render": {"text": lambda p: p["rows"]},
+    "render": {"text": lambda p: "\n".join(p["rows"])},
 }
 
 
@@ -308,9 +316,7 @@ def _build_parser() -> _Parser:
     )
     p_enum.add_argument("--s", type=int, required=True)
     p_enum.add_argument("--t", type=int, required=True)
-    p_enum.add_argument(
-        "--filter", dest="part_filter", choices=sorted(FILTERS), default="all",
-    )
+    p_enum.add_argument("--filter", dest="part_filter", choices=sorted(FILTERS), default="all")
     p_enum.add_argument(
         "--bound", type=int, metavar="H",
         help="partial listing of sizes <= H (required for non-coprime pairs)",
@@ -324,9 +330,7 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--max", type=int, help="set both --max-s and --max-t")
     p_table.add_argument("--max-s", type=int, default=TABLE_CAP)
     p_table.add_argument("--max-t", type=int, default=TABLE_CAP)
-    p_table.add_argument(
-        "--filter", dest="part_filter", choices=sorted(FILTERS), default="all",
-    )
+    p_table.add_argument("--filter", dest="part_filter", choices=sorted(FILTERS), default="all")
     p_table.add_argument(
         "--force", action="store_true",
         help=f"allow dimensions beyond the default cap of {TABLE_CAP}",
@@ -345,10 +349,8 @@ def _build_parser() -> _Parser:
         "claim", choices=sorted(CLAIMS) + ["all"], metavar="claim",
         help="one of: " + ", ".join(sorted(CLAIMS)) + ", all",
     )
-    p_verify.add_argument("--max-s", type=int, default=None)
-    p_verify.add_argument("--max-m", type=int, default=None)
-    p_verify.add_argument("--max-d", type=int, default=None)
-    p_verify.add_argument("--max-sum", type=int, default=None)
+    for flag in ("--max-s", "--max-m", "--max-d", "--max-sum"):
+        p_verify.add_argument(flag, type=int)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bij = sub.add_parser(
@@ -361,9 +363,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--odd", help="partition into odd parts, e.g. 3,1,1")
     p_bij.set_defaults(func=_cmd_bijection)
 
-    p_render = sub.add_parser(
-        "render", parents=[common], help="ASCII Young diagram of a partition",
-    )
+    p_render = sub.add_parser("render", parents=[common], help="ASCII Young diagram of a partition")
     p_render.add_argument("--partition", required=True, help="e.g. 3,2,1")
     p_render.add_argument("--hooks", action="store_true", help="annotate each cell with its hook length")
     p_render.set_defaults(func=_cmd_render)
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
             raise ValueError(
                 f"{args.format} format is not supported for {args.command}; use text or json"
             )
-        _emit("\n".join(render(payload)) + "\n", args.out)
+        _emit(render(payload) + "\n", args.out)
     except InfiniteFamilyError as exc:
         message, code = f"{exc}; pass --bound H for a partial listing of sizes <= H", EXIT_INFINITE
     except ValueError as exc:

@@ -9,7 +9,12 @@ is pure, so everything can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
+
+
+def format_parts(parts: Iterable[int]) -> str:
+    """'(3,2,1)' for the parts 3, 2, 1; '()' for none."""
+    return "(" + ",".join(str(p) for p in parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class Partition:
         return bool(self.parts)
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
+        return format_parts(self.parts)
 
 
 def hook_length(lam: Partition, i: int, j: int) -> int:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -400,6 +402,49 @@ class TestOut:
         assert out == ""
         assert target.read_text() == "###\n#\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_keeps_mode_of_existing_file(self, capsys, tmp_path):
+        target = tmp_path / "result.txt"
+        target.write_text("previous output\n")
+        target.chmod(0o640)
+        assert run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))[0] == 0
+        assert target.read_text() == "###\n#\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_symlink_target_is_followed(self, capsys, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("previous output\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        assert run_cli(capsys, "render", "--partition", "3,1", "--out", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == "###\n#\n"
+        assert sorted(tmp_path.iterdir()) == [link, real]
+
+    def test_hard_linked_file_is_written_in_place(self, capsys, tmp_path):
+        target = tmp_path / "result.txt"
+        target.write_text("previous output\n")
+        twin = tmp_path / "twin.txt"
+        os.link(target, twin)
+        assert run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))[0] == 0
+        assert target.read_text() == twin.read_text() == "###\n#\n"
+
+    def test_device_target_is_written_in_place(self, capsys):
+        before = os.stat(os.devnull)
+        code, out, err = run_cli(capsys, "render", "--partition", "3,1", "--out", os.devnull)
+        assert (code, out, err) == (0, "", "")
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode)
+        assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+
+    def test_leftover_temp_file_is_not_removed(self, capsys, tmp_path):
+        target = tmp_path / "result.txt"
+        leftover = tmp_path / f".result.txt.{os.getpid()}.tmp"
+        leftover.write_text("not ours\n")
+        code, out, err = run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))
+        assert code == 1 and out == "" and "cannot write" in err
+        assert leftover.read_text() == "not ours\n"
+        assert not target.exists()
 
 
 class TestGlobalBehavior:
