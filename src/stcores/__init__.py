@@ -31,6 +31,7 @@ from .partition import (
     perimeter,
 )
 from .search import (
+    CoreSummary,
     EnumerationResult,
     GapPoset,
     InfiniteFamilyError,
@@ -40,6 +41,7 @@ from .search import (
     enumerate_distinct_by_perimeter,
     enumerate_odd_by_perimeter,
     gap_poset,
+    summarize_core,
 )
 from .sequences import (
     CountPolynomial,
@@ -59,6 +61,7 @@ __all__ = [
     "CLAIMS",
     "ClaimCase",
     "CompositionC",
+    "CoreSummary",
     "CountPolynomial",
     "EnumerationResult",
     "GapPoset",
@@ -97,5 +100,6 @@ __all__ = [
     "partitions_of",
     "perimeter",
     "run_claim",
+    "summarize_core",
     "to_beta",
 ]

@@ -54,32 +54,50 @@ def compositions_of(m: int) -> list[CompositionC]:
     return [w for w in words(m) if not w or w[-1] == 1]
 
 
-def lambda_d(mu: CompositionC) -> Partition:
-    """Distinct-parts partition assigned to mu; its perimeter is sum(mu)."""
-    mu = _checked(mu)
+def _build_d(mu: CompositionC) -> Partition:
+    """lambda_d for a composition already known to be valid.
+
+    Parts are kept smallest first, so the largest is at the end: a 1 grows
+    it and a 2 appends old largest + 1, which keeps the parts positive and
+    strictly increasing, i.e. distinct once reversed.
+    """
     if not mu:
-        return Partition(())
+        return Partition._trusted(())
     parts = [1]  # the rightmost entry is a 1
     for x in reversed(mu[:-1]):
         if x == 1:
-            parts[0] += 1
+            parts[-1] += 1
         else:
-            parts.insert(0, parts[0] + 1)
-    return Partition(tuple(parts))
+            parts.append(parts[-1] + 1)
+    return Partition._trusted(tuple(reversed(parts)))
+
+
+def _build_o(mu: CompositionC) -> Partition:
+    """lambda_o for a composition already known to be valid.
+
+    Parts are kept smallest first: a 1 appends a copy of the largest and a
+    2 grows it by two, so the parts stay odd, positive and weakly
+    increasing, i.e. weakly decreasing once reversed.
+    """
+    if not mu:
+        return Partition._trusted(())
+    parts = [1]
+    for x in reversed(mu[:-1]):
+        if x == 1:
+            parts.append(parts[-1])
+        else:
+            parts[-1] += 2
+    return Partition._trusted(tuple(reversed(parts)))
+
+
+def lambda_d(mu: CompositionC) -> Partition:
+    """Distinct-parts partition assigned to mu; its perimeter is sum(mu)."""
+    return _build_d(_checked(mu))
 
 
 def lambda_o(mu: CompositionC) -> Partition:
     """Odd-parts partition assigned to mu; its perimeter is sum(mu)."""
-    mu = _checked(mu)
-    if not mu:
-        return Partition(())
-    parts = [1]
-    for x in reversed(mu[:-1]):
-        if x == 1:
-            parts.insert(0, parts[0])
-        else:
-            parts[0] += 2
-    return Partition(tuple(parts))
+    return _build_o(_checked(mu))
 
 
 def inverse_lambda_d(lam: Partition) -> CompositionC:
@@ -87,22 +105,17 @@ def inverse_lambda_d(lam: Partition) -> CompositionC:
 
     Peeling from the outside in: when the largest part exceeds the second
     by exactly 1 the last step must have been a stack (emit 2 and drop the
-    largest part); otherwise it was a grow (emit 1 and decrement).
+    largest part); otherwise it was a grow (emit 1 and decrement).  So a
+    part p above a part q contributes p - q - 1 ones and then a 2, and the
+    smallest part p contributes p ones.
     """
     if not has_distinct_parts(lam):
         raise ValueError(f"expected a partition into distinct parts, got {lam}")
-    parts = list(lam.parts)
+    parts = lam.parts
     mu: list[int] = []
-    while parts:
-        if len(parts) > 1 and parts[0] == parts[1] + 1:
-            mu.append(2)
-            parts.pop(0)
-        elif parts[0] > 1:
-            mu.append(1)
-            parts[0] -= 1
-        else:  # parts == [1]
-            mu.append(1)
-            parts.pop(0)
+    for p, q in zip(parts, parts[1:] + (0,)):
+        mu.extend((1,) * (p - q - 1))
+        mu.append(2 if q else 1)
     return tuple(mu)
 
 
@@ -111,30 +124,29 @@ def inverse_lambda_o(lam: Partition) -> CompositionC:
 
     A repeated largest part must come from a repeat step (emit 1 and drop
     one copy); otherwise the gap is at least 2 by oddness, so the last step
-    grew the largest part by two (emit 2 and subtract 2).
+    grew the largest part by two (emit 2 and subtract 2).  So a part p
+    above a part q, or above nothing with q = 1, contributes (p - q) / 2
+    twos and then a 1.
     """
     if not has_odd_parts(lam):
         raise ValueError(f"expected a partition into odd parts, got {lam}")
-    parts = list(lam.parts)
+    parts = lam.parts
     mu: list[int] = []
-    while parts:
-        if len(parts) > 1 and parts[0] == parts[1]:
-            mu.append(1)
-            parts.pop(0)
-        elif parts[0] > 1:
-            mu.append(2)
-            parts[0] -= 2
-        else:  # parts == [1]
-            mu.append(1)
-            parts.pop(0)
+    for p, q in zip(parts, parts[1:] + (1,)):
+        mu.extend((2,) * ((p - q) // 2))
+        mu.append(1)
     return tuple(mu)
 
 
 def distinct_to_odd(lam: Partition) -> Partition:
-    """Perimeter-preserving image of a distinct-parts partition among odd-parts ones."""
-    return lambda_o(inverse_lambda_d(lam))
+    """Perimeter-preserving image of a distinct-parts partition among odd-parts ones.
+
+    Raises ValueError unless lam has distinct parts; the composition in
+    between is valid by construction, so it is not checked again.
+    """
+    return _build_o(inverse_lambda_d(lam))
 
 
 def odd_to_distinct(lam: Partition) -> Partition:
-    """Inverse of distinct_to_odd."""
-    return lambda_d(inverse_lambda_o(lam))
+    """Inverse of distinct_to_odd; raises ValueError unless lam has odd parts."""
+    return _build_d(inverse_lambda_o(lam))

@@ -2,7 +2,8 @@
 
 A claim produces one case per checked identity; a report collects the
 cases, an overall verdict, and the wall-clock time.  The enumeration side
-is always an exhaustive search from `search`; the expected side is a
+is always an exhaustive search from `search` (the summary fold where only
+counts, max sizes and witnesses are compared); the expected side is a
 formula, so corrupting either one makes the claim fail loudly.
 """
 
@@ -91,7 +92,7 @@ def witness_count_s_plus_1(s: int) -> int:
 
 def _fib_distinct_cases(p: dict) -> list[ClaimCase]:
     s = p["s"]
-    got = search.enumerate_core(s, s + 1, "distinct").count
+    got = search.summarize_core(s, s + 1, "distinct").count
     return [_case({"s": s}, sequences.fibonacci(s + 1), got)]
 
 
@@ -128,7 +129,7 @@ def _fib_general_cases(p: dict) -> list[ClaimCase]:
             _case(
                 {"d": d, "s": s, "check": "enumeration"},
                 want,
-                search.enumerate_core(s, t, "distinct").count,
+                search.summarize_core(s, t, "distinct").count,
             )
         )
     return cases
@@ -136,17 +137,17 @@ def _fib_general_cases(p: dict) -> list[ClaimCase]:
 
 def _conjecture2_cases(p: dict) -> list[ClaimCase]:
     s = p["s"]
-    got = search.enumerate_core(s, s + 2, "distinct").count
+    got = search.summarize_core(s, s + 2, "distinct").count
     return [_case({"s": s}, conjecture2_count(s), got)]
 
 
 def _maxsize_s_s2_cases(p: dict) -> list[ClaimCase]:
     s = p["s"]
-    result = search.enumerate_core(s, s + 2, "distinct")
-    witnesses = result.max_size_witnesses
+    summary = search.summarize_core(s, s + 2, "distinct")
+    witnesses = summary.max_size_witnesses
     top = witnesses[0]
     return [
-        _case({"s": s, "check": "max_size"}, max_size_s_plus_2(s), result.max_size),
+        _case({"s": s, "check": "max_size"}, max_size_s_plus_2(s), summary.max_size),
         _case({"s": s, "check": "witnesses"}, 1, len(witnesses)),
         _case({"s": s, "check": "witness_parts"}, witness_length_s_plus_2(s), top.ell),
         _case(
@@ -159,26 +160,26 @@ def _maxsize_s_s2_cases(p: dict) -> list[ClaimCase]:
 
 def _maxsize_s_s1_cases(p: dict) -> list[ClaimCase]:
     s = p["s"]
-    result = search.enumerate_core(s, s + 1, "distinct")
+    summary = search.summarize_core(s, s + 1, "distinct")
     return [
-        _case({"s": s, "check": "max_size"}, max_size_s_plus_1(s), result.max_size),
+        _case({"s": s, "check": "max_size"}, max_size_s_plus_1(s), summary.max_size),
         _case(
             {"s": s, "check": "witnesses"},
             witness_count_s_plus_1(s),
-            len(result.max_size_witnesses),
+            len(summary.max_size_witnesses),
         ),
     ]
 
 
 def _anderson_cases(p: dict) -> list[ClaimCase]:
     s, t = p["s"], p["t"]
-    got = search.enumerate_core(s, t, "all").count
+    got = search.summarize_core(s, t, "all").count
     return [_case({"s": s, "t": t}, sequences.anderson_count(s, t), got)]
 
 
 def _selfconjugate_cases(p: dict) -> list[ClaimCase]:
     s, t = p["s"], p["t"]
-    got = search.enumerate_core(s, t, "self_conjugate").count
+    got = search.summarize_core(s, t, "self_conjugate").count
     return [_case({"s": s, "t": t}, sequences.fms_selfconjugate_count(s, t), got)]
 
 

@@ -23,7 +23,14 @@ from typing import Optional
 from .bijection import inverse_lambda_d, inverse_lambda_o, is_composition, lambda_d, lambda_o
 from .claims import CLAIMS, run_claim
 from .partition import Partition, format_parts, hook_length, perimeter
-from .search import FILTERS, InfiniteFamilyError, enumerate_core, enumerate_core_bounded
+from .search import (
+    FILTERS,
+    InfiniteFamilyError,
+    enumerate_core,
+    enumerate_core_bounded,
+    summarize_core,
+)
+from .sequences import anderson_count, fms_selfconjugate_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,6 +38,11 @@ EXIT_INFINITE = 2
 EXIT_VERIFY_FAILED = 3
 
 TABLE_CAP = 12
+# Largest family `enumerate` lists without --force, about 4x the (11, 12)
+# family of 58,786; time and memory of a listing grow with its count.
+ENUMERATE_CAP = 250_000
+# Filters whose family size has a closed form, checked before listing.
+CLOSED_FORMS = {"all": anderson_count, "self_conjugate": fms_selfconjugate_count}
 INF_CSV = "inf"
 INF_TEXT = "∞"
 
@@ -109,6 +121,13 @@ def _cmd_enumerate(args) -> dict:
         result = enumerate_core_bounded(args.s, args.t, args.part_filter, args.bound)
         print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
     else:
+        closed_form = CLOSED_FORMS.get(args.part_filter)
+        count = closed_form(args.s, args.t) if closed_form else 0
+        if count > ENUMERATE_CAP and not args.force:
+            raise ValueError(
+                f"the ({args.s}, {args.t}) family with filter {args.part_filter} has {count} "
+                f"partitions, above the listing cap of {ENUMERATE_CAP}; rerun with --force"
+            )
         result = enumerate_core(args.s, args.t, args.part_filter)
     payload = {
         "s": result.s,
@@ -158,7 +177,7 @@ def _cmd_table(args) -> dict:
     default = INF_TEXT if args.format == "text" else INF_CSV
     marker = default if args.inf_marker is None else args.inf_marker
     cells = [
-        [str(enumerate_core(s, t, args.part_filter).count) if gcd(s, t) == 1 else marker
+        [str(summarize_core(s, t, args.part_filter).count) if gcd(s, t) == 1 else marker
          for t in range(1, max_t + 1)]
         for s in range(1, max_s + 1)
     ]
@@ -320,6 +339,11 @@ def _build_parser() -> _Parser:
     p_enum.add_argument(
         "--bound", type=int, metavar="H",
         help="partial listing of sizes <= H (required for non-coprime pairs)",
+    )
+    p_enum.add_argument(
+        "--force", action="store_true",
+        help=f"list families above {ENUMERATE_CAP} partitions; the size is known in advance "
+        "for filters all and self_conjugate only, so distinct and odd are never refused",
     )
     p_enum.set_defaults(func=_cmd_enumerate)
 

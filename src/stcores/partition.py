@@ -37,7 +37,18 @@ class Partition:
         """Build without the checks of __post_init__.
 
         Only for callers that already guarantee a weakly decreasing tuple
-        of positive ints, such as decoding a walked beta-set.
+        of positive ints.  They are:
+
+        * `betaset._decode_ascending` (used by `search.enumerate_core` and
+          `search.summarize_core`): the walk yields ascending distinct
+          positive ints, so each part beta[j] - j is positive and the parts
+          weakly decrease from the top row down.
+        * `search._level` (the perimeter enumerators): every level tuple
+          comes from () or (1,) by raising the largest part or putting a
+          copy or a larger part on top.
+        * `bijection._build_d` / `_build_o` (lambda_d, lambda_o and the
+          composed maps): from [1], a step only grows the largest part or
+          appends a part at least as large, and the list is then reversed.
         """
         lam = object.__new__(cls)
         object.__setattr__(lam, "parts", parts)

@@ -23,12 +23,20 @@ bounds the work per ideal instead of the number of gaps.  The walk runs on
 an explicit stack, so its depth is not bounded by the recursion limit.
 
 Filters act on the ascending beta-set before it is decoded, so only kept
-ideals become partitions.  `distinct` is a prune inside the walk
-(twin-free sets); `odd` reads the parts beta[j] - j directly; and
-`self_conjugate` compares the beta-set with its reflection about its
-largest element h, because the first-row hooks are {0..h} minus h - beta.
-The partition-level predicates in FILTERS stay as the oracle for the
-bounded enumerator and the tests.
+ideals become partitions.  `distinct` and `odd` are prunes inside the
+walk: a set with two consecutive elements, or with an even part
+beta[j] - j, keeps that flaw in every descendant.  `self_conjugate`
+compares the beta-set with its reflection about its largest element h,
+because the first-row hooks are {0..h} minus h - beta.  The
+partition-level predicates in FILTERS stay as the oracle for the bounded
+enumerator and the tests.
+
+Consumers that need no listing fold over the kept beta-sets instead of
+decoding them: `summarize_core` counts them and tracks the largest size,
+read on the beta-set as sum(beta) - C(len(beta), 2), keeping only the
+beta-sets of that size; just those witnesses are decoded and sorted.
+`enumerate_core` decodes and sorts every kept beta-set.  Both read the
+same walk, so the listing stays a second route to every count.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, gaps)
 
 
-def _ideals(poset: GapPoset, twin_free: bool) -> Iterator[tuple[int, ...]]:
+def _ideals(poset: GapPoset, twin_free: bool, odd_parts: bool) -> Iterator[tuple[int, ...]]:
     """Every order ideal of the gap poset once, as an ascending tuple.
 
     Depth first: a frame holds a node's addable gaps above its last
@@ -93,6 +101,12 @@ def _ideals(poset: GapPoset, twin_free: bool) -> Iterator[tuple[int, ...]]:
     x + 1 from the candidates when x is added is all it takes: a gap y
     becomes a candidate when its larger lower cover, at most y - 2, is
     added, so it is already a candidate by the time y - 1 is added.
+
+    With odd_parts, only ideals whose parts beta[j] - j are all odd are
+    walked: x would land at index len(ideal), and no later element moves
+    it, so an even part there stays in every descendant.  The candidate is
+    skipped, not removed: the children of smaller candidates still inherit
+    it, and there it lands one index deeper, with the other parity.
     """
     s, t = poset.s, poset.t
     gaps = poset.gaps
@@ -118,6 +132,8 @@ def _ideals(poset: GapPoset, twin_free: bool) -> Iterator[tuple[int, ...]]:
             continue
         starts[-1] = i + 1
         x = candidates[i]
+        if odd_parts and not (x - len(ideal)) & 1:
+            continue
         ideal.append(x)
         chosen[x] = 1
         yield tuple(ideal)
@@ -170,19 +186,27 @@ def _is_self_conjugate_beta(beta: tuple[int, ...]) -> bool:
     return all(h - x not in members for x in below)
 
 
-def _is_odd_beta(beta: tuple[int, ...]) -> bool:
-    """has_odd_parts(lam), read on lam's ascending beta-set: parts are beta[j] - j."""
-    return all((x - j) & 1 for j, x in enumerate(beta))
-
-
-# What enumerate_core applies to each walked beta-set; None keeps them all.
-# `distinct` needs no check because the walk's twin-free prune guarantees it.
+# What is applied to each walked beta-set; None keeps them all.  `distinct`
+# and `odd` need no check because the walk's prunes guarantee them.
 BETA_FILTERS: dict[str, Optional[Callable[[tuple[int, ...]], bool]]] = {
     "all": None,
     "distinct": None,
-    "odd": _is_odd_beta,
+    "odd": None,
     "self_conjugate": _is_self_conjugate_beta,
 }
+
+
+def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
+    """The ascending beta-sets of the (s, t)-cores passing the filter, one pass.
+
+    Checks the filter and the pair before returning, not on first use.
+    """
+    _predicate(part_filter)  # rejects unknown filters
+    keep = BETA_FILTERS[part_filter]
+    betas = _ideals(
+        gap_poset(s, t), twin_free=part_filter == "distinct", odd_parts=part_filter == "odd"
+    )
+    return betas if keep is None else filter(keep, betas)
 
 
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
@@ -216,16 +240,47 @@ def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResul
 
     Requires gcd(s, t) = 1, otherwise the family is infinite and
     InfiniteFamilyError is raised.  Filters: all, distinct, odd,
-    self_conjugate.  The distinct filter prunes the walk (twin-freeness is
-    monotone); the others are applied to each walked beta-set before it is
-    decoded.
+    self_conjugate.  The distinct and odd filters prune the walk (both
+    flaws are monotone); self_conjugate is applied to each walked beta-set
+    before it is decoded.
     """
-    _predicate(part_filter)  # rejects unknown filters
-    keep = BETA_FILTERS[part_filter]
-    ideals = _ideals(gap_poset(s, t), twin_free=part_filter == "distinct")
-    if keep is not None:
-        ideals = filter(keep, ideals)
-    return _result(s, t, part_filter, [_decode_ascending(beta) for beta in ideals])
+    found = [_decode_ascending(beta) for beta in _kept_betas(s, t, part_filter)]
+    return _result(s, t, part_filter, found)
+
+
+@dataclass(frozen=True)
+class CoreSummary:
+    """Count and largest members of one (s, t, filter) family, without the listing."""
+
+    s: int
+    t: int
+    filter: str
+    count: int
+    max_size: int
+    max_size_witnesses: tuple[Partition, ...]  # canonically ordered
+
+
+def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
+    """enumerate_core's count, max_size and max_size_witnesses, by one fold.
+
+    Same arguments and errors as enumerate_core.  Each kept beta-set is
+    counted and sized as sum(beta) - C(len(beta), 2), the sum of its parts
+    beta[j] - j; only the largest ones are kept, then decoded and sorted.
+    """
+    count = 0
+    max_size = -1
+    witnesses: list[tuple[int, ...]] = []
+    for beta in _kept_betas(s, t, part_filter):
+        count += 1
+        ell = len(beta)
+        size = sum(beta) - ell * (ell - 1) // 2
+        if size > max_size:
+            max_size = size
+            witnesses = [beta]
+        elif size == max_size:
+            witnesses.append(beta)
+    top = sorted(map(_decode_ascending, witnesses), key=canonical_key)
+    return CoreSummary(s, t, part_filter, count, max_size, tuple(top))
 
 
 def enumerate_core_bounded(
@@ -252,6 +307,16 @@ def enumerate_core_bounded(
     return _result(s, t, part_filter, found)
 
 
+def _level(parts: list[tuple[int, ...]]) -> list[Partition]:
+    """A perimeter level's parts tuples as partitions, canonically ordered.
+
+    Unchecked: both level builders start from () and (1,), and each move
+    raises the largest part, or puts a copy or a larger part on top, so
+    every tuple is positive and weakly decreasing by construction.
+    """
+    return sorted(map(Partition._trusted, parts), key=canonical_key)
+
+
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
     """All partitions into distinct parts with perimeter exactly m.
 
@@ -263,15 +328,13 @@ def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
     """
     if m < 0:
         raise ValueError("perimeter must be nonnegative")
-    older = [Partition(())]  # perimeter 0
-    if m == 0:
-        return older
-    newer = [Partition((1,))]  # perimeter 1
+    older: list[tuple[int, ...]] = [()]  # perimeter 0
+    newer = [(1,)] if m else older  # perimeter 1
     for _ in range(2, m + 1):
-        bumped = [Partition((lam.parts[0] + 1,) + lam.parts[1:]) for lam in newer]
-        stacked = [Partition((lam.parts[0] + 1,) + lam.parts) for lam in older if lam]
+        bumped = [(p[0] + 1,) + p[1:] for p in newer]
+        stacked = [(p[0] + 1,) + p for p in older if p]
         older, newer = newer, bumped + stacked
-    return sorted(newer, key=canonical_key)
+    return _level(newer)
 
 
 def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
@@ -282,15 +345,13 @@ def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
     """
     if m < 0:
         raise ValueError("perimeter must be nonnegative")
-    older = [Partition(())]
-    if m == 0:
-        return older
-    newer = [Partition((1,))]
+    older: list[tuple[int, ...]] = [()]
+    newer = [(1,)] if m else older
     for _ in range(2, m + 1):
-        widened = [Partition((lam.parts[0] + 2,) + lam.parts[1:]) for lam in older if lam]
-        repeated = [Partition((lam.parts[0],) + lam.parts) for lam in newer]
+        widened = [(p[0] + 2,) + p[1:] for p in older if p]
+        repeated = [(p[0],) + p for p in newer]
         older, newer = newer, widened + repeated
-    return sorted(newer, key=canonical_key)
+    return _level(newer)
 
 
 def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:

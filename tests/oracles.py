@@ -3,8 +3,10 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: a different partition-generation algorithm,
 direct box enumeration for fixed perimeter, restricted recursive
-counters, and the original recursive order-ideal walk with partition-level
-filters.  Keep these dumb.
+counters, the original recursive order-ideal walk with partition-level
+filters, and the original perimeter-level builders and composition maps,
+which construct every partition through the checked `Partition(...)`.
+Keep these dumb.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from typing import Callable, Iterator
 import hypothesis.strategies as st
 
 from stcores import EnumerationResult, GapPoset, Partition, from_beta, gap_poset, hook_length
-from stcores.search import FILTERS, _predicate, _result
+from stcores.bijection import _checked
+from stcores.search import FILTERS, _predicate, _result, canonical_key
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -82,6 +85,60 @@ def enumerate_core_reference(s: int, t: int, part_filter: str = "all") -> Enumer
         if predicate(lam)
     ]
     return _result(s, t, part_filter, found)
+
+
+def distinct_by_perimeter_checked(m: int) -> list[Partition]:
+    """enumerate_distinct_by_perimeter with a checked Partition at every level."""
+    older = [Partition(())]
+    if m == 0:
+        return older
+    newer = [Partition((1,))]
+    for _ in range(2, m + 1):
+        bumped = [Partition((lam.parts[0] + 1,) + lam.parts[1:]) for lam in newer]
+        stacked = [Partition((lam.parts[0] + 1,) + lam.parts) for lam in older if lam]
+        older, newer = newer, bumped + stacked
+    return sorted(newer, key=canonical_key)
+
+
+def odd_by_perimeter_checked(m: int) -> list[Partition]:
+    """enumerate_odd_by_perimeter with a checked Partition at every level."""
+    older = [Partition(())]
+    if m == 0:
+        return older
+    newer = [Partition((1,))]
+    for _ in range(2, m + 1):
+        widened = [Partition((lam.parts[0] + 2,) + lam.parts[1:]) for lam in older if lam]
+        repeated = [Partition((lam.parts[0],) + lam.parts) for lam in newer]
+        older, newer = newer, widened + repeated
+    return sorted(newer, key=canonical_key)
+
+
+def lambda_d_checked(mu: tuple[int, ...]) -> Partition:
+    """lambda_d built largest part first with list.insert, through Partition(...)."""
+    mu = _checked(mu)
+    if not mu:
+        return Partition(())
+    parts = [1]
+    for x in reversed(mu[:-1]):
+        if x == 1:
+            parts[0] += 1
+        else:
+            parts.insert(0, parts[0] + 1)
+    return Partition(tuple(parts))
+
+
+def lambda_o_checked(mu: tuple[int, ...]) -> Partition:
+    """lambda_o built largest part first with list.insert, through Partition(...)."""
+    mu = _checked(mu)
+    if not mu:
+        return Partition(())
+    parts = [1]
+    for x in reversed(mu[:-1]):
+        if x == 1:
+            parts.insert(0, parts[0])
+        else:
+            parts[0] += 2
+    return Partition(tuple(parts))
 
 
 def brute_partitions_upto(max_size: int) -> list[Partition]:

@@ -8,6 +8,8 @@ from stcores import (
     enumerate_distinct_by_perimeter,
     enumerate_odd_by_perimeter,
     fibonacci,
+    has_distinct_parts,
+    has_odd_parts,
     inverse_lambda_d,
     inverse_lambda_o,
     is_composition,
@@ -17,7 +19,7 @@ from stcores import (
     perimeter,
 )
 
-from oracles import compositions
+from oracles import compositions, lambda_d_checked, lambda_o_checked, perimeter_family
 
 
 class TestCompositionsOf:
@@ -76,6 +78,16 @@ class TestForwardMaps:
         with pytest.raises(ValueError):
             lambda_o(bad)
 
+    def test_match_checked_builders(self):
+        for m in range(0, 19):
+            for mu in compositions_of(m):
+                image_d, image_o = lambda_d(mu), lambda_o(mu)
+                assert image_d == lambda_d_checked(mu), mu
+                assert image_o == lambda_o_checked(mu), mu
+                for lam in (image_d, image_o):
+                    assert type(lam.parts) is tuple
+                    assert Partition(lam.parts) == lam  # would pass the skipped checks
+
     def test_images_have_right_shape_and_perimeter(self):
         for m in range(0, 19):
             for mu in compositions_of(m):
@@ -118,6 +130,25 @@ class TestComposedBijection:
         assert distinct_to_odd(Partition((4, 2))) == Partition((3, 3, 1))
         assert distinct_to_odd(Partition((3, 2, 1))) == Partition((5,))
         assert odd_to_distinct(Partition((3, 3))) == Partition((3, 1))
+
+    def test_reject_wrong_shape(self):
+        with pytest.raises(ValueError):
+            distinct_to_odd(Partition((3, 3)))
+        with pytest.raises(ValueError):
+            odd_to_distinct(Partition((2, 1)))
+
+    def test_match_checked_composition_route(self):
+        for m in range(0, 17):
+            for lam in perimeter_family(m, has_distinct_parts):
+                image = distinct_to_odd(lam)
+                mu = inverse_lambda_d(lam)
+                assert image == lambda_o(mu) == lambda_o_checked(mu), lam
+                assert Partition(image.parts) == image
+            for lam in perimeter_family(m, has_odd_parts):
+                image = odd_to_distinct(lam)
+                mu = inverse_lambda_o(lam)
+                assert image == lambda_d(mu) == lambda_d_checked(mu), lam
+                assert Partition(image.parts) == image
 
     def test_size_not_preserved(self):
         image_d, image_o = lambda_d((1, 2, 1)), lambda_o((1, 2, 1))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from stcores import claims as claims_mod
+from stcores import search as search_mod
 from stcores import sequences as sequences_mod
 from stcores.cli import main
 
@@ -96,6 +97,28 @@ class TestEnumerate:
     def test_nonpositive_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "enumerate", "--s", "0", "--t", "5")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "s,t,part_filter,count",
+        [("20", "21", "all", "6564120420"), ("40", "41", "self_conjugate", "137846528820")],
+    )
+    def test_huge_family_refused_before_listing(self, capsys, monkeypatch, s, t, part_filter, count):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(search_mod, "_ideals", no_walk)
+        code, out, err = run_cli(capsys, "enumerate", "--s", s, "--t", t, "--filter", part_filter)
+        assert code == 1
+        assert out == ""
+        assert count in err and "--force" in err
+
+    def test_force_accepted_on_small_case(self, capsys):
+        argv = ("enumerate", "--s", "3", "--t", "5", "--filter", "self_conjugate")
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, forced, _ = run_cli(capsys, *argv, "--force")
+        assert code == 0
+        assert forced == plain
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"

@@ -2,16 +2,20 @@ import sys
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stcores import (
     InfiniteFamilyError,
     Partition,
+    anderson_count,
     count_twin_free_tuples,
     enumerate_core,
     enumerate_core_bounded,
     enumerate_distinct_by_perimeter,
     enumerate_odd_by_perimeter,
     fibonacci,
+    fms_selfconjugate_count,
     gap_poset,
     has_distinct_parts,
     has_odd_parts,
@@ -22,9 +26,15 @@ from stcores import (
 from stcores import search
 from stcores.betaset import _decode_ascending
 from stcores.partition import conjugate
-from stcores.search import BETA_FILTERS, FILTERS, canonical_key
+from stcores.search import BETA_FILTERS, FILTERS, CoreSummary, _ideals, canonical_key, summarize_core
 
-from oracles import brute_partitions_upto, enumerate_core_reference, perimeter_family
+from oracles import (
+    brute_partitions_upto,
+    distinct_by_perimeter_checked,
+    enumerate_core_reference,
+    odd_by_perimeter_checked,
+    perimeter_family,
+)
 
 
 class TestGapPoset:
@@ -173,10 +183,15 @@ class TestBetaSetPath:
         for lam in brute_partitions_upto(14):
             assert keep(tuple(sorted(to_beta(lam)))) == (conjugate(lam) == lam), lam
 
-    def test_odd_beta_predicate_exhaustive(self):
-        keep = BETA_FILTERS["odd"]
-        for lam in brute_partitions_upto(14):
-            assert keep(tuple(sorted(to_beta(lam)))) == has_odd_parts(lam), lam
+    def test_odd_prune_matches_post_filter(self):
+        # the pruned walk yields exactly the odd-part ideals, in walk order
+        for s in range(1, 18):
+            for t in range(s + 1, 19 - s):
+                if gcd(s, t) == 1:
+                    poset = gap_poset(s, t)
+                    full = _ideals(poset, twin_free=False, odd_parts=False)
+                    want = [beta for beta in full if has_odd_parts(_decode_ascending(beta))]
+                    assert list(_ideals(poset, twin_free=False, odd_parts=True)) == want, (s, t)
 
     def test_unchecked_decode_exhaustive(self):
         for lam in brute_partitions_upto(14):
@@ -191,6 +206,65 @@ class TestBetaSetPath:
         assert enumerate_core(2, 2501).count == 1251
         assert sys.getrecursionlimit() == limit
         assert not hasattr(search, "sys")
+
+
+def _summary_of(result) -> tuple:
+    return result.count, result.max_size, result.max_size_witnesses
+
+
+# Coprime pairs, both orders, whose whole family stays small enough to list.
+SMALL_PAIRS = [
+    (s, t)
+    for s in range(1, 30)
+    for t in range(1, 30)
+    if gcd(s, t) == 1 and anderson_count(s, t) <= 3000
+]
+CLOSED_FORMS = {"all": anderson_count, "self_conjugate": fms_selfconjugate_count}
+
+
+class TestSummaryFold:
+    """summarize_core against the listing and the recursive-walk oracle."""
+
+    def test_5_7_distinct(self):
+        assert summarize_core(5, 7, "distinct") == CoreSummary(
+            5, 7, "distinct", 16, 21, (Partition((9, 5, 4, 2, 1)),)
+        )
+
+    def test_witnesses_canonically_ordered(self):
+        # (7, 8) distinct has two maximal witnesses (7 = 1 mod 3)
+        summary = summarize_core(7, 8, "distinct")
+        assert len(summary.max_size_witnesses) == 2
+        assert list(summary.max_size_witnesses) == sorted(
+            summary.max_size_witnesses, key=canonical_key
+        )
+
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_matches_listing_and_oracle(self, part_filter):
+        for s in range(1, 11):
+            for t in range(1, 11):
+                if gcd(s, t) == 1:
+                    folded = _summary_of(summarize_core(s, t, part_filter))
+                    assert folded == _summary_of(enumerate_core(s, t, part_filter)), (s, t)
+                    assert folded == _summary_of(enumerate_core_reference(s, t, part_filter)), (s, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_PAIRS), st.sampled_from(sorted(FILTERS)))
+    def test_random_pairs_match_listing_and_closed_forms(self, pair, part_filter):
+        s, t = pair
+        summary = summarize_core(s, t, part_filter)
+        assert (summary.s, summary.t, summary.filter) == (s, t, part_filter)
+        assert _summary_of(summary) == _summary_of(enumerate_core(s, t, part_filter))
+        if part_filter in CLOSED_FORMS:
+            assert summary.count == CLOSED_FORMS[part_filter](s, t)
+
+    def test_errors_match_enumerate_core(self):
+        with pytest.raises(InfiniteFamilyError):
+            summarize_core(2, 4, "distinct")
+        with pytest.raises(ValueError) as err:
+            summarize_core(3, 4, "weird")
+        assert "distinct" in str(err.value)
+        with pytest.raises(ValueError):
+            summarize_core(True, 2)
 
 
 class TestEnumerateCoreBounded:
@@ -246,6 +320,16 @@ class TestPerimeterEnumerators:
             want_o = {lam.parts for lam in perimeter_family(m, has_odd_parts)}
             assert {lam.parts for lam in enumerate_distinct_by_perimeter(m)} == want_d
             assert {lam.parts for lam in enumerate_odd_by_perimeter(m)} == want_o
+
+    def test_levels_match_checked_builder(self):
+        for m in range(0, 21):
+            distinct = enumerate_distinct_by_perimeter(m)
+            odd = enumerate_odd_by_perimeter(m)
+            assert distinct == distinct_by_perimeter_checked(m), m
+            assert odd == odd_by_perimeter_checked(m), m
+            for lam in distinct + odd:
+                assert type(lam.parts) is tuple
+                assert Partition(lam.parts) == lam  # would pass the skipped checks
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
