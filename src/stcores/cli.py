@@ -20,7 +20,7 @@ import sys
 from math import gcd
 from typing import Optional
 
-from .bijection import inverse_lambda_d, inverse_lambda_o, is_composition, lambda_d, lambda_o
+from .bijection import inverse_lambda_d, inverse_lambda_o, lambda_d, lambda_o
 from .claims import CLAIMS, run_claim
 from .partition import Partition, format_parts, hook_length, perimeter
 from .search import (
@@ -43,6 +43,8 @@ TABLE_CAP = 12
 ENUMERATE_CAP = 250_000
 # Filters whose family size has a closed form, checked before listing.
 CLOSED_FORMS = {"all": anderson_count, "self_conjugate": fms_selfconjugate_count}
+# verify's range flags: every key some claim takes, in registry order.
+RANGE_KEYS = tuple(dict.fromkeys(k for c in CLAIMS.values() for k in c.defaults))
 INF_CSV = "inf"
 INF_TEXT = "∞"
 
@@ -205,7 +207,7 @@ def _render_table(p: dict) -> str:
 # ------------------------------------------------------------------ verify
 
 def _cmd_verify(args) -> dict:
-    ranges = {k: getattr(args, k) for k in ("max_s", "max_m", "max_d", "max_sum")}
+    ranges = {k: getattr(args, k) for k in RANGE_KEYS}
     merged = args.claim == "all"  # every claim, with the range flags each one accepts
     reports = [
         run_claim(n, **{k: v for k, v in ranges.items() if not merged or k in CLAIMS[n].defaults})
@@ -252,11 +254,7 @@ def _verify_csv(p: dict) -> str:
 
 def _cmd_bijection(args) -> dict:
     if args.mu is not None:
-        mu = _parse_int_list(args.mu)
-        if not is_composition(mu):
-            raise ValueError(
-                f"invalid composition {mu}: parts must be 1 or 2 and the last part must be 1"
-            )
+        mu = _parse_int_list(args.mu)  # lambda_d rejects an invalid composition
     elif args.distinct is not None:
         mu = inverse_lambda_d(Partition(_parse_int_list(args.distinct)))
     else:
@@ -373,8 +371,8 @@ def _build_parser() -> _Parser:
         "claim", choices=sorted(CLAIMS) + ["all"], metavar="claim",
         help="one of: " + ", ".join(sorted(CLAIMS)) + ", all",
     )
-    for flag in ("--max-s", "--max-m", "--max-d", "--max-sum"):
-        p_verify.add_argument(flag, type=int)
+    for key in RANGE_KEYS:
+        p_verify.add_argument("--" + key.replace("_", "-"), type=int)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bij = sub.add_parser(

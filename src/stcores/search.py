@@ -23,9 +23,10 @@ bounds the work per ideal instead of the number of gaps.  The walk runs on
 an explicit stack, so its depth is not bounded by the recursion limit.
 
 Filters act on the ascending beta-set before it is decoded, so only kept
-ideals become partitions.  `distinct` and `odd` are prunes inside the
-walk: a set with two consecutive elements, or with an even part
-beta[j] - j, keeps that flaw in every descendant.  `self_conjugate`
+ideals become partitions.  The walk takes the filter name: `distinct`
+and `odd` are prunes inside it, because a set with two consecutive
+elements, or with an even part beta[j] - j, keeps that flaw in every
+descendant.  `self_conjugate` is the one check on finished beta-sets: it
 compares the beta-set with its reflection about its largest element h,
 because the first-row hooks are {0..h} minus h - beta.  The
 partition-level predicates in FILTERS stay as the oracle for the bounded
@@ -44,7 +45,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .betaset import _decode_ascending, is_twin_free
 from .partition import (
@@ -55,7 +56,8 @@ from .partition import (
     is_t_core,
     partitions_of,
 )
-from .sequences import InfiniteFamilyError, _require_coprime  # the error is re-exported here
+# InfiniteFamilyError is re-exported here.
+from .sequences import InfiniteFamilyError, _require_coprime, _require_positive
 
 
 @dataclass(frozen=True)
@@ -90,26 +92,29 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, gaps)
 
 
-def _ideals(poset: GapPoset, twin_free: bool, odd_parts: bool) -> Iterator[tuple[int, ...]]:
-    """Every order ideal of the gap poset once, as an ascending tuple.
+def _ideals(poset: GapPoset, part_filter: str) -> Iterator[tuple[int, ...]]:
+    """The order ideals of the gap poset kept by the walk, each once, ascending.
 
     Depth first: a frame holds a node's addable gaps above its last
-    element, ascending, and the position of the next one to try.  With
-    twin_free, only ideals without two consecutive elements are walked.
+    element, ascending, and the position of the next one to try.  For
+    `distinct`, only ideals without two consecutive elements are walked.
     That prune is sound because elements are added in ascending order and
     a later, larger element can never repair a consecutive pair.  Dropping
     x + 1 from the candidates when x is added is all it takes: a gap y
     becomes a candidate when its larger lower cover, at most y - 2, is
     added, so it is already a candidate by the time y - 1 is added.
 
-    With odd_parts, only ideals whose parts beta[j] - j are all odd are
-    walked: x would land at index len(ideal), and no later element moves
-    it, so an even part there stays in every descendant.  The candidate is
-    skipped, not removed: the children of smaller candidates still inherit
-    it, and there it lands one index deeper, with the other parity.
+    For `odd`, only ideals whose parts beta[j] - j are all odd are walked:
+    x would land at index len(ideal), and no later element moves it, so an
+    even part there stays in every descendant.  The candidate is skipped,
+    not removed: the children of smaller candidates still inherit it, and
+    there it lands one index deeper, with the other parity.  Every other
+    filter name walks every ideal.
     """
     s, t = poset.s, poset.t
     gaps = poset.gaps
+    twin_free = part_filter == "distinct"
+    odd_parts = part_filter == "odd"
     yield ()
     if not gaps:
         return
@@ -186,27 +191,16 @@ def _is_self_conjugate_beta(beta: tuple[int, ...]) -> bool:
     return all(h - x not in members for x in below)
 
 
-# What is applied to each walked beta-set; None keeps them all.  `distinct`
-# and `odd` need no check because the walk's prunes guarantee them.
-BETA_FILTERS: dict[str, Optional[Callable[[tuple[int, ...]], bool]]] = {
-    "all": None,
-    "distinct": None,
-    "odd": None,
-    "self_conjugate": _is_self_conjugate_beta,
-}
-
-
 def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """The ascending beta-sets of the (s, t)-cores passing the filter, one pass.
 
-    Checks the filter and the pair before returning, not on first use.
+    Checks the filter and the pair before returning, not on first use.  The
+    walk prunes for `distinct` and `odd`; `self_conjugate` is checked on
+    each walked beta-set.
     """
     _predicate(part_filter)  # rejects unknown filters
-    keep = BETA_FILTERS[part_filter]
-    betas = _ideals(
-        gap_poset(s, t), twin_free=part_filter == "distinct", odd_parts=part_filter == "odd"
-    )
-    return betas if keep is None else filter(keep, betas)
+    betas = _ideals(gap_poset(s, t), part_filter)
+    return filter(_is_self_conjugate_beta, betas) if part_filter == "self_conjugate" else betas
 
 
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
@@ -294,8 +288,7 @@ def enumerate_core_bounded(
     cross-check for enumerate_core.
     """
     predicate = _predicate(part_filter)
-    if s < 1 or t < 1:
-        raise ValueError(f"s and t must be positive integers, got s={s!r}, t={t!r}")
+    _require_positive(s, t)
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     found = [

@@ -9,11 +9,9 @@ integer values are obtained by evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from math import comb, gcd
 
 
-@cache
 def fibonacci(n: int) -> int:
     """F_n with F_0 = 0 and F_1 = 1."""
     if n < 0:
@@ -44,10 +42,15 @@ class InfiniteFamilyError(ValueError):
         )
 
 
-def _require_coprime(s: int, t: int) -> None:
-    """Reject non-int, bool or nonpositive s, t (ValueError) and gcd(s, t) > 1."""
+def _require_positive(s: int, t: int) -> None:
+    """Reject non-int, bool or nonpositive s, t with ValueError."""
     if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (s, t)):
         raise ValueError(f"s and t must be positive integers, got s={s!r}, t={t!r}")
+
+
+def _require_coprime(s: int, t: int) -> None:
+    """_require_positive, then InfiniteFamilyError for gcd(s, t) > 1."""
+    _require_positive(s, t)
     common = gcd(s, t)
     if common != 1:
         raise InfiniteFamilyError(s, t, common)
@@ -63,7 +66,6 @@ def anderson_count(s: int, t: int) -> int:
     return _exact_div(comb(s + t, s), s + t)
 
 
-@cache
 def catalan(s: int) -> int:
     """C(2s, s)/(s+1); equals anderson_count(s, s+1)."""
     if s < 0:
@@ -133,36 +135,32 @@ class CountPolynomial:
         return " + ".join(terms)
 
 
-@cache
+def _twin_free_recurrence(s: int, x2: CountPolynomial) -> CountPolynomial:
+    """X(s) for X(s) = X(s-1) + d * X(s-2), X(1) = 1 and X(2) = x2, by one loop."""
+    if s < 1:
+        raise ValueError("s must be a positive integer")
+    x1 = CountPolynomial((1,))
+    for _ in range(s - 1):
+        x1, x2 = x2, x2 + x1.times_d()
+    return x1
+
+
 def m_poly(s: int) -> CountPolynomial:
     """Number of nested twin-free tuples of length d inside {1, ..., s-1}.
 
     As a polynomial in d: X(1) = 1, X(2) = d + 1, and
     X(s) = X(s-1) + d * X(s-2).
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    if s == 1:
-        return CountPolynomial((1,))
-    if s == 2:
-        return CountPolynomial((1, 1))
-    return m_poly(s - 1) + m_poly(s - 2).times_d()
+    return _twin_free_recurrence(s, CountPolynomial((1, 1)))
 
 
-@cache
 def n_poly(s: int) -> CountPolynomial:
     """Number of (s, ds-1)-core partitions into distinct parts, as a polynomial in d.
 
     Same recurrence as m_poly with starts X(1) = 1 and X(2) = d.  At d = 1
-    this collapses to the Fibonacci numbers: n_poly(s)(1) = F_(s+1).
+    this collapses to the Fibonacci numbers: n_poly(s)(1) = F_s.
     """
-    if s < 1:
-        raise ValueError("s must be a positive integer")
-    if s == 1:
-        return CountPolynomial((1,))
-    if s == 2:
-        return CountPolynomial((0, 1))
-    return n_poly(s - 1) + n_poly(s - 2).times_d()
+    return _twin_free_recurrence(s, CountPolynomial((0, 1)))
 
 
 def check_core_twinfree_identity(s: int, d: int) -> bool:

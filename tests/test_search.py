@@ -26,7 +26,14 @@ from stcores import (
 from stcores import search
 from stcores.betaset import _decode_ascending
 from stcores.partition import conjugate
-from stcores.search import BETA_FILTERS, FILTERS, CoreSummary, _ideals, canonical_key, summarize_core
+from stcores.search import (
+    FILTERS,
+    CoreSummary,
+    _ideals,
+    _is_self_conjugate_beta,
+    canonical_key,
+    summarize_core,
+)
 
 from oracles import (
     brute_partitions_upto,
@@ -175,13 +182,10 @@ class TestBetaSetPath:
                     fast = enumerate_core(s, t, part_filter)
                     assert fast == enumerate_core_reference(s, t, part_filter), (s, t)
 
-    def test_filter_tables_agree(self):
-        assert BETA_FILTERS.keys() == FILTERS.keys()
-
     def test_self_conjugate_beta_predicate_exhaustive(self):
-        keep = BETA_FILTERS["self_conjugate"]
         for lam in brute_partitions_upto(14):
-            assert keep(tuple(sorted(to_beta(lam)))) == (conjugate(lam) == lam), lam
+            beta = tuple(sorted(to_beta(lam)))
+            assert _is_self_conjugate_beta(beta) == (conjugate(lam) == lam), lam
 
     def test_odd_prune_matches_post_filter(self):
         # the pruned walk yields exactly the odd-part ideals, in walk order
@@ -189,9 +193,9 @@ class TestBetaSetPath:
             for t in range(s + 1, 19 - s):
                 if gcd(s, t) == 1:
                     poset = gap_poset(s, t)
-                    full = _ideals(poset, twin_free=False, odd_parts=False)
+                    full = _ideals(poset, "all")
                     want = [beta for beta in full if has_odd_parts(_decode_ascending(beta))]
-                    assert list(_ideals(poset, twin_free=False, odd_parts=True)) == want, (s, t)
+                    assert list(_ideals(poset, "odd")) == want, (s, t)
 
     def test_unchecked_decode_exhaustive(self):
         for lam in brute_partitions_upto(14):
@@ -280,6 +284,11 @@ class TestEnumerateCoreBounded:
             enumerate_core_bounded(0, 3, "all", 5)
         with pytest.raises(ValueError):
             enumerate_core_bounded(2, 3, "all", -1)
+        # bools and floats are refused as enumerate_core refuses them
+        with pytest.raises(ValueError, match="positive integers"):
+            enumerate_core_bounded(True, 2, "all", 3)
+        with pytest.raises(ValueError, match="positive integers"):
+            enumerate_core_bounded(2.0, 3, "all", 3)
 
 
 class TestPerimeterEnumerators:

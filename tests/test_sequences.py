@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import stcores
@@ -127,6 +129,17 @@ class TestGeneralizedFibonacci:
             n_poly(0)
         with pytest.raises(ValueError):
             m_poly(-2)
+
+    def test_deep_s_needs_no_recursion(self):
+        limit = sys.getrecursionlimit()
+        assert n_poly(1200).degree == 600
+        assert m_poly(1200).degree == 600
+        assert sys.getrecursionlimit() == limit
+
+    @pytest.mark.parametrize("fn", [fibonacci, catalan, m_poly, n_poly])
+    def test_no_memo(self, fn):
+        # a memo would be process-global state that grows with every call
+        assert not hasattr(fn, "cache_info")
 
     def test_polynomials_match_brute_force(self):
         for d in range(1, 5):
