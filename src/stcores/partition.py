@@ -40,9 +40,9 @@ class Partition:
         of positive ints.  They are:
 
         * `betaset._decode_ascending` (used by `search.enumerate_core` and
-          `search.summarize_core`): the walk yields ascending distinct
-          positive ints, so each part beta[j] - j is positive and the parts
-          weakly decrease from the top row down.
+          `search.summarize_core`): the walk and `search._arms_to_beta`
+          give ascending distinct positive ints, so each part beta[j] - j
+          is positive and the parts weakly decrease from the top row down.
         * `search._level` (the perimeter enumerators): every level tuple
           comes from () or (1,) by raising the largest part or putting a
           copy or a larger part on top.

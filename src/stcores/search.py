@@ -22,15 +22,18 @@ min(s, t) of them (each residue class mod s or mod t is a chain), and that
 bounds the work per ideal instead of the number of gaps.  The walk runs on
 an explicit stack, so its depth is not bounded by the recursion limit.
 
-Filters act on the ascending beta-set before it is decoded, so only kept
-ideals become partitions.  The walk takes the filter name: `distinct`
-and `odd` are prunes inside it, because a set with two consecutive
-elements, or with an even part beta[j] - j, keeps that flaw in every
-descendant.  `self_conjugate` is the one check on finished beta-sets: it
-compares the beta-set with its reflection about its largest element h,
-because the first-row hooks are {0..h} minus h - beta.  The
-partition-level predicates in FILTERS stay as the oracle for the bounded
-enumerator and the tests.
+Every filter is decided inside the walk, so it yields only kept ideals
+and only those are decoded.  `distinct` and `odd` prune the walk over the
+gaps: two consecutive elements, or an even part beta[j] - j, stay in every
+descendant.  `self_conjugate` walks X = {lam_i - i + 1 : lam_i >= i}, the
+Frobenius arms plus one (Ford, Mai & Sze 2009): lam is an (s, t)-core
+exactly when X is closed under subtracting s and t while positive and no
+x, x' in X (x = x' included) have x + x' in {s + 1, t + 1}, a partner
+prune shaped like the twin-free one.  X lies in 1..(F+1)//2 with
+F = s*t - s - t, since 2*max(X) - 1 is the (1, 1) hook, a gap; then
+`_arms_to_beta` turns X into the beta-set.  The partition-level
+predicates in FILTERS stay as the oracle for the bounded enumerator and
+the tests.
 
 Consumers that need no listing fold over the kept beta-sets instead of
 decoding them: `summarize_core` counts them and tracks the largest size,
@@ -57,7 +60,7 @@ from .partition import (
     partitions_of,
 )
 # InfiniteFamilyError is re-exported here.
-from .sequences import InfiniteFamilyError, _require_coprime, _require_positive
+from .sequences import InfiniteFamilyError, _require_coprime, _require_int
 
 
 @dataclass(frozen=True)
@@ -67,14 +70,6 @@ class GapPoset:
     s: int
     t: int
     gaps: tuple[int, ...]  # ascending
-
-    @property
-    def frobenius(self) -> int:
-        """Largest gap, or -1 when there are none (s = 1 or t = 1)."""
-        return self.gaps[-1] if self.gaps else -1
-
-    def lower_covers(self, x: int) -> tuple[int, ...]:
-        return tuple(y for y in (x - self.s, x - self.t) if y > 0)
 
 
 def gap_poset(s: int, t: int) -> GapPoset:
@@ -92,10 +87,17 @@ def gap_poset(s: int, t: int) -> GapPoset:
     return GapPoset(s, t, gaps)
 
 
-def _ideals(poset: GapPoset, part_filter: str) -> Iterator[tuple[int, ...]]:
-    """The order ideals of the gap poset kept by the walk, each once, ascending.
+def _ideals(
+    s: int, t: int, members: tuple[int, ...], part_filter: str
+) -> Iterator[tuple[int, ...]]:
+    """The order ideals of `members` kept by the walk, each once, ascending.
 
-    Depth first: a frame holds a node's addable gaps above its last
+    `members` is ascending and closed under subtracting s and t while the
+    result stays positive: the gaps of <s, t>, or 1..(F+1)//2 for
+    `self_conjugate`.  Its minimal elements are the members <= min(s, t)
+    in both universes, since min(s, t) is never a gap.
+
+    Depth first: a frame holds a node's addable members above its last
     element, ascending, and the position of the next one to try.  For
     `distinct`, only ideals without two consecutive elements are walked.
     That prune is sound because elements are added in ascending order and
@@ -108,23 +110,23 @@ def _ideals(poset: GapPoset, part_filter: str) -> Iterator[tuple[int, ...]]:
     x would land at index len(ideal), and no later element moves it, so an
     even part there stays in every descendant.  The candidate is skipped,
     not removed: the children of smaller candidates still inherit it, and
-    there it lands one index deeper, with the other parity.  Every other
-    filter name walks every ideal.
+    there it lands one index deeper, with the other parity.
+
+    For `self_conjugate`, x is skipped when its partner p - x, p in partners,
+    is x itself or a chosen x' < x, which then stays in every descendant.
+    Every other filter name walks every ideal.
     """
-    s, t = poset.s, poset.t
-    gaps = poset.gaps
     twin_free = part_filter == "distinct"
     odd_parts = part_filter == "odd"
+    partners = (s + 1, t + 1) if part_filter == "self_conjugate" else ()
     yield ()
-    if not gaps:
-        return
-    top = gaps[-1]
-    is_gap = bytearray(top + max(s, t) + 1)
-    for g in gaps:
-        is_gap[g] = 1
+    top = members[-1] if members else 0
+    is_member = bytearray(top + max(s, t) + 1)
+    for g in members:
+        is_member[g] = 1
     chosen = bytearray(top + 1)
     ideal: list[int] = []
-    frames = [[g for g in gaps if g < min(s, t)]]  # the gaps without lower covers
+    frames = [[g for g in members if g <= min(s, t)]]  # the members without lower covers
     starts = [0]
     while frames:
         candidates = frames[-1]
@@ -139,6 +141,8 @@ def _ideals(poset: GapPoset, part_filter: str) -> Iterator[tuple[int, ...]]:
         x = candidates[i]
         if odd_parts and not (x - len(ideal)) & 1:
             continue
+        if partners and any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in partners):
+            continue
         ideal.append(x)
         chosen[x] = 1
         yield tuple(ideal)
@@ -148,7 +152,7 @@ def _ideals(poset: GapPoset, part_filter: str) -> Iterator[tuple[int, ...]]:
         # x is a lower cover of x + s and x + t only; their other covers are
         # x + s - t and x + t - s.
         for y, other in ((x + s, x + s - t), (x + t, x + t - s)):
-            if is_gap[y] and (other <= 0 or chosen[other]):
+            if is_member[y] and (other <= 0 or chosen[other]):
                 insort(rest, y)
         if rest:
             frames.append(rest)
@@ -174,33 +178,31 @@ def _predicate(part_filter: str) -> Callable[[Partition], bool]:
         ) from None
 
 
-def _is_self_conjugate_beta(beta: tuple[int, ...]) -> bool:
-    """conjugate(lam) == lam, read on lam's ascending beta-set.
+def _arms_to_beta(arms: tuple[int, ...]) -> tuple[int, ...]:
+    """The ascending beta-set of the self-conjugate partition whose arms + 1 are `arms`.
 
-    With h = max(beta), the conjugate's beta-set (lam's first-row hooks) is
-    {0..h} minus {h - x : x in beta}.  They agree exactly when beta minus h
-    and its reflection h - (beta minus h) are disjoint and fill {1..h-1}.
+    With ell = max(arms), its number of parts, the rows on the diagonal
+    have the first-column hooks x + ell - 1 for x in arms, and the rows
+    below it have the hooks k < ell with ell - k not in arms.
     """
-    if not beta:
-        return True
-    h = beta[-1]
-    below = beta[:-1]
-    if 2 * len(below) != h - 1:
-        return False
-    members = set(below)
-    return all(h - x not in members for x in below)
+    ell = arms[-1] if arms else 0
+    present = set(arms)
+    below = [k for k in range(1, ell) if ell - k not in present]
+    return tuple(below + [x + ell - 1 for x in arms])
 
 
 def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """The ascending beta-sets of the (s, t)-cores passing the filter, one pass.
 
-    Checks the filter and the pair before returning, not on first use.  The
-    walk prunes for `distinct` and `odd`; `self_conjugate` is checked on
-    each walked beta-set.
+    Checks the filter and the pair before returning, not on first use.
+    Every filter is decided by the walk; `self_conjugate` walks arm sets.
     """
     _predicate(part_filter)  # rejects unknown filters
-    betas = _ideals(gap_poset(s, t), part_filter)
-    return filter(_is_self_conjugate_beta, betas) if part_filter == "self_conjugate" else betas
+    if part_filter != "self_conjugate":
+        return _ideals(s, t, gap_poset(s, t).gaps, part_filter)
+    _require_coprime(s, t)
+    arms = tuple(range(1, (s * t - s - t + 1) // 2 + 1))
+    return map(_arms_to_beta, _ideals(s, t, arms, part_filter))
 
 
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
@@ -234,9 +236,8 @@ def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResul
 
     Requires gcd(s, t) = 1, otherwise the family is infinite and
     InfiniteFamilyError is raised.  Filters: all, distinct, odd,
-    self_conjugate.  The distinct and odd filters prune the walk (both
-    flaws are monotone); self_conjugate is applied to each walked beta-set
-    before it is decoded.
+    self_conjugate, each decided inside the walk, so only kept beta-sets
+    are decoded.
     """
     found = [_decode_ascending(beta) for beta in _kept_betas(s, t, part_filter)]
     return _result(s, t, part_filter, found)
@@ -288,7 +289,8 @@ def enumerate_core_bounded(
     cross-check for enumerate_core.
     """
     predicate = _predicate(part_filter)
-    _require_positive(s, t)
+    _require_int("s", s)
+    _require_int("t", t)
     if max_size < 0:
         raise ValueError("max_size must be nonnegative")
     found = [

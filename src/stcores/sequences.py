@@ -12,10 +12,15 @@ from dataclasses import dataclass
 from math import comb, gcd
 
 
+def _require_int(name: str, value: int, minimum: int = 1) -> None:
+    """Reject a non-int, a bool or an int below minimum with ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def fibonacci(n: int) -> int:
     """F_n with F_0 = 0 and F_1 = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _require_int("n", n, 0)
     a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b
@@ -42,15 +47,10 @@ class InfiniteFamilyError(ValueError):
         )
 
 
-def _require_positive(s: int, t: int) -> None:
-    """Reject non-int, bool or nonpositive s, t with ValueError."""
-    if any(not isinstance(v, int) or isinstance(v, bool) or v < 1 for v in (s, t)):
-        raise ValueError(f"s and t must be positive integers, got s={s!r}, t={t!r}")
-
-
 def _require_coprime(s: int, t: int) -> None:
-    """_require_positive, then InfiniteFamilyError for gcd(s, t) > 1."""
-    _require_positive(s, t)
+    """_require_int on s and t, then InfiniteFamilyError for gcd(s, t) > 1."""
+    _require_int("s", s)
+    _require_int("t", t)
     common = gcd(s, t)
     if common != 1:
         raise InfiniteFamilyError(s, t, common)
@@ -68,8 +68,7 @@ def anderson_count(s: int, t: int) -> int:
 
 def catalan(s: int) -> int:
     """C(2s, s)/(s+1); equals anderson_count(s, s+1)."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    _require_int("s", s, 0)
     return _exact_div(comb(2 * s, s), s + 1)
 
 
@@ -137,8 +136,7 @@ class CountPolynomial:
 
 def _twin_free_recurrence(s: int, x2: CountPolynomial) -> CountPolynomial:
     """X(s) for X(s) = X(s-1) + d * X(s-2), X(1) = 1 and X(2) = x2, by one loop."""
-    if s < 1:
-        raise ValueError("s must be a positive integer")
+    _require_int("s", s)
     x1 = CountPolynomial((1,))
     for _ in range(s - 1):
         x1, x2 = x2, x2 + x1.times_d()

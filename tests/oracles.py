@@ -4,8 +4,9 @@ Everything here recomputes expected values by a route different from the
 implementation under test: a different partition-generation algorithm,
 direct box enumeration for fixed perimeter, restricted recursive
 counters, the original recursive order-ideal walk with partition-level
-filters, and the original perimeter-level builders and composition maps,
-which construct every partition through the checked `Partition(...)`.
+filters, the original beta-set test for self-conjugacy, and the original
+perimeter-level builders and composition maps, which construct every
+partition through the checked `Partition(...)`.
 Keep these dumb.
 """
 
@@ -74,6 +75,23 @@ def down_closed_subsets_recursive(poset: GapPoset, twin_free_only: bool) -> list
 
     walk(0)
     return found
+
+
+def is_self_conjugate_beta(beta: tuple[int, ...]) -> bool:
+    """conjugate(lam) == lam, read on lam's ascending beta-set.
+
+    With h = max(beta), the conjugate's beta-set (lam's first-row hooks) is
+    {0..h} minus {h - x : x in beta}.  They agree exactly when beta minus h
+    and its reflection h - (beta minus h) are disjoint and fill {1..h-1}.
+    """
+    if not beta:
+        return True
+    h = beta[-1]
+    below = beta[:-1]
+    if 2 * len(below) != h - 1:
+        return False
+    members = set(below)
+    return all(h - x not in members for x in below)
 
 
 def enumerate_core_reference(s: int, t: int, part_filter: str = "all") -> EnumerationResult:

@@ -40,6 +40,13 @@ def test_every_claim_passes_on_default_range(name):
     assert report.passed, report.mismatches
 
 
+def test_selfconjugate_passes_far_past_default_range():
+    # the arm-set walk visits only the counted cores, so s + t <= 29 is cheap
+    report = run_claim("selfconjugate", max_sum=29)
+    assert report.passed, report.mismatches
+    assert len(report.cases) == 134
+
+
 def test_report_lists_every_mismatch():
     report = run_claim("fib-distinct", max_s=6)
     assert report.mismatches == ()

@@ -30,7 +30,7 @@ from stcores.search import (
     FILTERS,
     CoreSummary,
     _ideals,
-    _is_self_conjugate_beta,
+    _result,
     canonical_key,
     summarize_core,
 )
@@ -39,6 +39,7 @@ from oracles import (
     brute_partitions_upto,
     distinct_by_perimeter_checked,
     enumerate_core_reference,
+    is_self_conjugate_beta,
     odd_by_perimeter_checked,
     perimeter_family,
 )
@@ -54,7 +55,6 @@ class TestGapPoset:
         assert gap_poset(1, 9).gaps == ()
         assert gap_poset(9, 1).gaps == ()
         assert gap_poset(1, 1).gaps == ()
-        assert gap_poset(1, 9).frobenius == -1
 
     def test_genus_and_frobenius_formulas(self):
         for s in range(2, 13):
@@ -63,13 +63,7 @@ class TestGapPoset:
                     continue
                 poset = gap_poset(s, t)
                 assert len(poset.gaps) == (s - 1) * (t - 1) // 2
-                assert poset.frobenius == s * t - s - t
-
-    def test_lower_covers(self):
-        poset = gap_poset(3, 5)
-        assert poset.lower_covers(7) == (4, 2)
-        assert poset.lower_covers(4) == (1,)
-        assert poset.lower_covers(1) == ()
+                assert poset.gaps[-1] == s * t - s - t
 
     @pytest.mark.parametrize("s,t,common", [(2, 4, 2), (6, 9, 3), (4, 4, 4), (12, 12, 12)])
     def test_non_coprime(self, s, t, common):
@@ -150,15 +144,14 @@ class TestEnumerateCore:
         assert result == again
 
     def test_distinct_results_have_twin_free_downclosed_betas(self):
-        poset = gap_poset(7, 9)
-        gaps = set(poset.gaps)
+        gaps = set(gap_poset(7, 9).gaps)
         for lam in enumerate_core(7, 9, "distinct").partitions:
             beta = to_beta(lam)
             assert is_twin_free(beta)
             assert beta <= gaps
             for x in beta:
-                for below in poset.lower_covers(x):
-                    assert below in beta
+                for below in (x - 7, x - 9):
+                    assert below <= 0 or below in beta
 
     def test_fibonacci_counts(self):
         for s in range(1, 13):
@@ -185,17 +178,32 @@ class TestBetaSetPath:
     def test_self_conjugate_beta_predicate_exhaustive(self):
         for lam in brute_partitions_upto(14):
             beta = tuple(sorted(to_beta(lam)))
-            assert _is_self_conjugate_beta(beta) == (conjugate(lam) == lam), lam
+            assert is_self_conjugate_beta(beta) == (conjugate(lam) == lam), lam
 
     def test_odd_prune_matches_post_filter(self):
         # the pruned walk yields exactly the odd-part ideals, in walk order
         for s in range(1, 18):
             for t in range(s + 1, 19 - s):
                 if gcd(s, t) == 1:
-                    poset = gap_poset(s, t)
-                    full = _ideals(poset, "all")
+                    gaps = gap_poset(s, t).gaps
+                    full = _ideals(s, t, gaps, "all")
                     want = [beta for beta in full if has_odd_parts(_decode_ascending(beta))]
-                    assert list(_ideals(poset, "odd")) == want, (s, t)
+                    assert list(_ideals(s, t, gaps, "odd")) == want, (s, t)
+
+    @pytest.mark.parametrize(
+        "s,t", [(s, t) for s in range(1, 13) for t in range(1, 13) if gcd(s, t) == 1]
+    )
+    def test_self_conjugate_walk_matches_post_filter(self, s, t):
+        # the arm-set walk against the unpruned gap walk plus the beta-set predicate
+        gaps = gap_poset(s, t).gaps
+        kept = [beta for beta in _ideals(s, t, gaps, "all") if is_self_conjugate_beta(beta)]
+        want = _result(s, t, "self_conjugate", [_decode_ascending(beta) for beta in kept])
+        assert enumerate_core(s, t, "self_conjugate") == want
+        assert _summary_of(summarize_core(s, t, "self_conjugate")) == _summary_of(want)
+        # every walked arm set is kept
+        arms = tuple(range(1, (s * t - s - t + 1) // 2 + 1))
+        walked = sum(1 for _ in _ideals(s, t, arms, "self_conjugate"))
+        assert walked == len(kept) == fms_selfconjugate_count(s, t)
 
     def test_unchecked_decode_exhaustive(self):
         for lam in brute_partitions_upto(14):
@@ -285,9 +293,9 @@ class TestEnumerateCoreBounded:
         with pytest.raises(ValueError):
             enumerate_core_bounded(2, 3, "all", -1)
         # bools and floats are refused as enumerate_core refuses them
-        with pytest.raises(ValueError, match="positive integers"):
+        with pytest.raises(ValueError, match="integer >= 1"):
             enumerate_core_bounded(True, 2, "all", 3)
-        with pytest.raises(ValueError, match="positive integers"):
+        with pytest.raises(ValueError, match="integer >= 1"):
             enumerate_core_bounded(2.0, 3, "all", 3)
 
 

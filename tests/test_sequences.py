@@ -141,6 +141,12 @@ class TestGeneralizedFibonacci:
         # a memo would be process-global state that grows with every call
         assert not hasattr(fn, "cache_info")
 
+    @pytest.mark.parametrize("fn", [fibonacci, catalan, m_poly, n_poly])
+    @pytest.mark.parametrize("bad", [True, 2.5, -1])
+    def test_rejects_bools_floats_and_negatives(self, fn, bad):
+        with pytest.raises(ValueError):
+            fn(bad)
+
     def test_polynomials_match_brute_force(self):
         for d in range(1, 5):
             for s in range(1, 13):
