@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .partition import Partition
+from .sequences import _require_int
 
 BetaSet = frozenset[int]
 
@@ -28,8 +29,7 @@ def from_beta(beta: Iterable[int]) -> Partition:
     """The unique partition whose first-column hook lengths are exactly beta."""
     elems = list(beta)
     for x in elems:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise ValueError(f"beta-set elements must be positive integers, got {x!r}")
+        _require_int("beta-set element", x)
     if len(set(elems)) != len(elems):
         raise ValueError(f"beta-set elements must be distinct, got {sorted(elems)}")
     hooks = sorted(elems, reverse=True)
@@ -55,8 +55,7 @@ def is_t_core_beta(beta: BetaSet, t: int) -> bool:
     On the set side: every element x >= t must have x - t present as well.
     Since 0 is never a member, t itself being in beta already fails.
     """
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    _require_int("t", t)
     return all(x - t in beta for x in beta if x >= t)
 
 

@@ -18,13 +18,14 @@ preserves the perimeter -- though not, in general, the size.
 from __future__ import annotations
 
 from .partition import Partition, has_distinct_parts, has_odd_parts
+from .sequences import _require_int
 
 CompositionC = tuple[int, ...]
 
 
 def is_composition(mu: CompositionC) -> bool:
-    """Parts all 1 or 2, and a nonempty word ends in 1."""
-    return all(x in (1, 2) for x in mu) and (not mu or mu[-1] == 1)
+    """Parts all exact ints 1 or 2 (not True or 2.0), and a nonempty word ends in 1."""
+    return all(type(x) is int and x in (1, 2) for x in mu) and (not mu or mu[-1] == 1)
 
 
 def _checked(mu: CompositionC) -> CompositionC:
@@ -37,21 +38,25 @@ def _checked(mu: CompositionC) -> CompositionC:
 
 
 def compositions_of(m: int) -> list[CompositionC]:
-    """All valid compositions of weight m, in lexicographic order."""
-    if m < 0:
-        raise ValueError("weight must be nonnegative")
+    """All valid compositions of weight m, in lexicographic order.
 
-    def words(k: int):
-        if k == 0:
-            yield ()
+    A valid word of weight m >= 1 is a word of weight m - 1 followed by the
+    final 1, and appending the same entry keeps the lexicographic order.
+    """
+    _require_int("m", m, 0)
+    if m == 0:
+        return [()]
+
+    def words(k: int):  # every word of weight k over {1, 2}, lexicographically
+        if k < 2:
+            yield (1,) * k  # () or (1,)
             return
         for rest in words(k - 1):
             yield (1,) + rest
-        if k >= 2:
-            for rest in words(k - 2):
-                yield (2,) + rest
+        for rest in words(k - 2):
+            yield (2,) + rest
 
-    return [w for w in words(m) if not w or w[-1] == 1]
+    return [w + (1,) for w in words(m - 1)]
 
 
 def _build_d(mu: CompositionC) -> Partition:

@@ -99,18 +99,11 @@ def _fib_distinct_cases(p: dict) -> list[ClaimCase]:
 def _distinct_odd_cases(p: dict) -> list[ClaimCase]:
     m = p["m"]
     want = sequences.fibonacci(m)
-    return [
-        _case(
-            {"m": m, "family": "distinct"},
-            want,
-            len(search.enumerate_distinct_by_perimeter(m)),
-        ),
-        _case(
-            {"m": m, "family": "odd"},
-            want,
-            len(search.enumerate_odd_by_perimeter(m)),
-        ),
-    ]
+    families = {
+        "distinct": search.enumerate_distinct_by_perimeter,
+        "odd": search.enumerate_odd_by_perimeter,
+    }
+    return [_case({"m": m, "family": f}, want, len(family(m))) for f, family in families.items()]
 
 
 def _fib_general_cases(p: dict) -> list[ClaimCase]:

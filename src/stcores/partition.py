@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .sequences import _require_int
+
 
 def format_parts(parts: Iterable[int]) -> str:
     """'(3,2,1)' for the parts 3, 2, 1; '()' for none."""
@@ -43,9 +45,10 @@ class Partition:
           `search.summarize_core`): the walk and `search._arms_to_beta`
           give ascending distinct positive ints, so each part beta[j] - j
           is positive and the parts weakly decrease from the top row down.
-        * `search._level` (the perimeter enumerators): every level tuple
-          comes from () or (1,) by raising the largest part or putting a
-          copy or a larger part on top.
+        * `search._level` (the perimeter enumerators): for distinct parts,
+          a largest part then a strictly decreasing combination of smaller
+          positive parts; for odd parts, an odd largest part then a weakly
+          decreasing multiset of odd parts no larger than it.
         * `bijection._build_d` / `_build_o` (lambda_d, lambda_o and the
           composed maps): from [1], a step only grows the largest part or
           appends a part at least as large, and the list is then reversed.
@@ -102,8 +105,7 @@ def perimeter(lam: Partition) -> int:
 
 def is_t_core(lam: Partition, t: int) -> bool:
     """True when no cell of the Young diagram has hook length t."""
-    if t < 1:
-        raise ValueError("t must be a positive integer")
+    _require_int("t", t)
     for i in range(1, lam.ell + 1):
         for j in range(1, lam.parts[i - 1] + 1):
             if hook_length(lam, i, j) == t:
@@ -129,9 +131,8 @@ def conjugate(lam: Partition) -> Partition:
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
-    """Yield every partition of n, in descending lexicographic order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    """Every partition of n, in descending lexicographic order; n is checked at the call."""
+    _require_int("n", n, 0)
 
     def walk(remaining: int, cap: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:
@@ -142,4 +143,4 @@ def partitions_of(n: int) -> Iterator[Partition]:
             yield from walk(remaining - k, k, prefix)
             prefix.pop()
 
-    yield from walk(n, n if n else 1, [])
+    return walk(n, n if n else 1, [])

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterator
+from itertools import combinations, combinations_with_replacement
+from typing import Callable, Iterable, Iterator
 
 from .betaset import _decode_ascending, is_twin_free
 from .partition import (
@@ -291,8 +291,7 @@ def enumerate_core_bounded(
     predicate = _predicate(part_filter)
     _require_int("s", s)
     _require_int("t", t)
-    if max_size < 0:
-        raise ValueError("max_size must be nonnegative")
+    _require_int("max_size", max_size, 0)
     found = [
         lam
         for n in range(max_size + 1)
@@ -302,12 +301,14 @@ def enumerate_core_bounded(
     return _result(s, t, part_filter, found)
 
 
-def _level(parts: list[tuple[int, ...]]) -> list[Partition]:
+def _level(parts: Iterable[tuple[int, ...]]) -> list[Partition]:
     """A perimeter level's parts tuples as partitions, canonically ordered.
 
-    Unchecked: both level builders start from () and (1,), and each move
-    raises the largest part, or puts a copy or a larger part on top, so
-    every tuple is positive and weakly decreasing by construction.
+    Unchecked: each tuple is a largest part followed by parts taken from
+    below it, so it is positive and weakly decreasing by construction.  For
+    distinct parts they are a strictly decreasing combination of smaller
+    positive parts; for odd parts, an odd largest part followed by a weakly
+    decreasing multiset of odd parts no larger than it.
     """
     return sorted(map(Partition._trusted, parts), key=canonical_key)
 
@@ -315,38 +316,38 @@ def _level(parts: list[tuple[int, ...]]) -> list[Partition]:
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
     """All partitions into distinct parts with perimeter exactly m.
 
-    Built one perimeter level at a time: a level-m partition arises either
-    by adding 1 to the largest part of a level-(m-1) partition, or by
-    stacking a new largest part (old largest + 1) on a nonempty
-    level-(m-2) partition.  Both moves preserve distinctness and raise the
-    perimeter by exactly 1 and 2.
+    Listed from the shape: a partition with largest part L and perimeter m
+    has m + 1 - L parts, so it is L followed by a combination of m - L of
+    the parts L - 1, ..., 1, taken in decreasing order.  There are
+    C(L - 1, m - L) of them for each L, and the sum over L of
+    C(L - 1, m - L) is the shallow-diagonal sum of Pascal's triangle, F(m).
     """
-    if m < 0:
-        raise ValueError("perimeter must be nonnegative")
-    older: list[tuple[int, ...]] = [()]  # perimeter 0
-    newer = [(1,)] if m else older  # perimeter 1
-    for _ in range(2, m + 1):
-        bumped = [(p[0] + 1,) + p[1:] for p in newer]
-        stacked = [(p[0] + 1,) + p for p in older if p]
-        older, newer = newer, bumped + stacked
-    return _level(newer)
+    _require_int("m", m, 0)
+    if m == 0:
+        return _level([()])
+    return _level(
+        (largest,) + rest
+        for largest in range(1, m + 1)
+        for rest in combinations(range(largest - 1, 0, -1), m - largest)
+    )
 
 
 def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
     """All partitions into odd parts with perimeter exactly m.
 
-    Level step: add 2 to the largest part of a nonempty level-(m-2)
-    partition, or repeat the largest part of a level-(m-1) partition.
+    Listed from the shape: an odd largest part L = 2j + 1 followed by a
+    weakly decreasing multiset of m - L odd parts no larger than L, chosen
+    from the j + 1 values L, L - 2, ..., 1.  There are C(m - 1 - j, j) of
+    them for each j, so the count is the same shallow-diagonal sum, F(m).
     """
-    if m < 0:
-        raise ValueError("perimeter must be nonnegative")
-    older: list[tuple[int, ...]] = [()]
-    newer = [(1,)] if m else older
-    for _ in range(2, m + 1):
-        widened = [(p[0] + 2,) + p[1:] for p in older if p]
-        repeated = [(p[0],) + p for p in newer]
-        older, newer = newer, widened + repeated
-    return _level(newer)
+    _require_int("m", m, 0)
+    if m == 0:
+        return _level([()])
+    return _level(
+        (largest,) + rest
+        for largest in range(1, m + 1, 2)
+        for rest in combinations_with_replacement(range(largest, 0, -2), m - largest)
+    )
 
 
 def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:
@@ -357,8 +358,8 @@ def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:
     `sequences`, so it stays dumb on purpose.  With exclude_last, tuples
     whose innermost set contains s - 1 are not counted.
     """
-    if s < 1 or d < 1:
-        raise ValueError("s and d must be positive integers")
+    _require_int("s", s)
+    _require_int("d", d)
     top = s - 1
 
     def count_from(level: int, superset: tuple[int, ...]) -> int:

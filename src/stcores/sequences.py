@@ -93,8 +93,7 @@ class CountPolynomial:
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         for c in coeffs:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-                raise ValueError(f"coefficients must be nonnegative integers, got {c!r}")
+            _require_int("coefficient", c, 0)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -163,6 +162,6 @@ def n_poly(s: int) -> CountPolynomial:
 
 def check_core_twinfree_identity(s: int, d: int) -> bool:
     """Whether n_poly(s) = m_poly(s-1) + (d-1) * m_poly(s-2) holds at the integer d."""
-    if s < 3 or d < 1:
-        raise ValueError("requires s >= 3 and d >= 1")
+    _require_int("s", s, 3)
+    _require_int("d", d)
     return n_poly(s)(d) == m_poly(s - 1)(d) + (d - 1) * m_poly(s - 2)(d)

@@ -5,7 +5,7 @@ implementation under test: a different partition-generation algorithm,
 direct box enumeration for fixed perimeter, restricted recursive
 counters, the original recursive order-ideal walk with partition-level
 filters, the original beta-set test for self-conjugacy, and the original
-perimeter-level builders and composition maps, which construct every
+perimeter-level recurrences and composition maps, which construct every
 partition through the checked `Partition(...)`.
 Keep these dumb.
 """
@@ -106,7 +106,12 @@ def enumerate_core_reference(s: int, t: int, part_filter: str = "all") -> Enumer
 
 
 def distinct_by_perimeter_checked(m: int) -> list[Partition]:
-    """enumerate_distinct_by_perimeter with a checked Partition at every level."""
+    """Distinct parts of perimeter m by the level recurrence, checked at every level.
+
+    Level m: add 1 to the largest part of a level-(m-1) partition, or stack
+    old largest + 1 on a nonempty level-(m-2) partition.  These are
+    lambda_d's moves, not the shape-built listing of the package.
+    """
     older = [Partition(())]
     if m == 0:
         return older
@@ -119,7 +124,11 @@ def distinct_by_perimeter_checked(m: int) -> list[Partition]:
 
 
 def odd_by_perimeter_checked(m: int) -> list[Partition]:
-    """enumerate_odd_by_perimeter with a checked Partition at every level."""
+    """Odd parts of perimeter m by the level recurrence, checked at every level.
+
+    Level m: add 2 to the largest part of a nonempty level-(m-2) partition,
+    or repeat the largest part of a level-(m-1) partition (lambda_o's moves).
+    """
     older = [Partition(())]
     if m == 0:
         return older

@@ -71,7 +71,9 @@ class TestForwardMaps:
         assert lambda_o((1, 2, 1)) == Partition((3, 3))
         assert lambda_o((2, 2, 1)) == Partition((5,))
 
-    @pytest.mark.parametrize("bad", [(1, 2), (2,), (3, 1), (0, 1)])
+    @pytest.mark.parametrize(
+        "bad", [(1, 2), (2,), (3, 1), (0, 1), (True,), (2, True), (2.0, 1.0), (1.0,)]
+    )
     def test_reject_invalid_compositions(self, bad):
         with pytest.raises(ValueError):
             lambda_d(bad)

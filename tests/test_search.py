@@ -9,6 +9,8 @@ from stcores import (
     InfiniteFamilyError,
     Partition,
     anderson_count,
+    check_core_twinfree_identity,
+    compositions_of,
     count_twin_free_tuples,
     enumerate_core,
     enumerate_core_bounded,
@@ -20,7 +22,9 @@ from stcores import (
     has_distinct_parts,
     has_odd_parts,
     is_t_core,
+    is_t_core_beta,
     is_twin_free,
+    partitions_of,
     to_beta,
 )
 from stcores import search
@@ -332,7 +336,8 @@ class TestPerimeterEnumerators:
                 assert (lam.parts[0] + lam.ell - 1 if lam else 0) == m
 
     def test_against_box_oracle(self):
-        for m in range(0, 13):
+        # the box oracle shares no step with the shape-built generators
+        for m in range(0, 16):
             want_d = {lam.parts for lam in perimeter_family(m, has_distinct_parts)}
             want_o = {lam.parts for lam in perimeter_family(m, has_odd_parts)}
             assert {lam.parts for lam in enumerate_distinct_by_perimeter(m)} == want_d
@@ -386,3 +391,29 @@ class TestTwinFreeTuples:
             count_twin_free_tuples(0, 1, exclude_last=False)
         with pytest.raises(ValueError):
             count_twin_free_tuples(3, 0, exclude_last=False)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        compositions_of,
+        enumerate_distinct_by_perimeter,
+        enumerate_odd_by_perimeter,
+        partitions_of,
+        lambda x: count_twin_free_tuples(x, 1, True),
+        lambda x: count_twin_free_tuples(3, x, True),
+        lambda x: enumerate_core_bounded(2, 4, "all", x),
+        lambda x: is_t_core(Partition((2, 1)), x),
+        lambda x: is_t_core_beta(frozenset({3, 1}), x),
+        lambda x: check_core_twinfree_identity(3, x),
+    ],
+    ids=[
+        "compositions_of", "distinct", "odd", "partitions_of", "tuples_s", "tuples_d",
+        "bounded", "is_t_core", "is_t_core_beta", "twinfree_identity_d",
+    ],
+)
+@pytest.mark.parametrize("bad", [True, 2.5, -1])
+def test_integer_arguments_reject_bools_floats_and_negatives(call, bad):
+    # checked at the call, before anything is built or listed
+    with pytest.raises(ValueError, match="must be an integer >="):
+        call(bad)
