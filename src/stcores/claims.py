@@ -4,7 +4,10 @@ A claim produces one case per checked identity; a report collects the
 cases, an overall verdict, and the wall-clock time.  The enumeration side
 is always an exhaustive search from `search` (the summary fold where only
 counts, max sizes and witnesses are compared); the expected side is a
-formula, so corrupting either one makes the claim fail loudly.
+formula, so corrupting either one makes the claim fail loudly.  A claim's
+scope returns its range text and its case params together, and the claims
+that compare the fold's count of one family with a closed form share one
+case builder, `_count_cases`.
 """
 
 from __future__ import annotations
@@ -45,9 +48,8 @@ class Claim:
     name: str
     summary: str
     defaults: dict
-    params: Callable[..., list[dict]]
+    scope: Callable[..., "tuple[str, list[dict]]"]
     cases: Callable[[dict], "list[ClaimCase]"]
-    describe_range: Callable[..., str]
 
 
 def _case(params: dict, expected, got) -> ClaimCase:
@@ -88,12 +90,18 @@ def witness_count_s_plus_1(s: int) -> int:
 
 # Case builders.  Formulas are reached through their defining module so a
 # deliberately corrupted formula (monkeypatched in the harness meta-test)
-# is picked up at call time.
+# is picked up at call time; hence `_count_cases` takes callables of the
+# case params, not formula objects bound when the registry is built.
 
-def _fib_distinct_cases(p: dict) -> list[ClaimCase]:
-    s = p["s"]
-    got = search.summarize_core(s, s + 1, "distinct").count
-    return [_case({"s": s}, sequences.fibonacci(s + 1), got)]
+def _count_cases(
+    part_filter: str, t_of: Callable[[dict], int], closed_form: Callable[[dict], int]
+) -> Callable[[dict], list[ClaimCase]]:
+    """Cases that compare the fold's count of the (s, t_of(p)) family with closed_form(p)."""
+
+    def cases(p: dict) -> list[ClaimCase]:
+        return [_case(p, closed_form(p), search.summarize_core(p["s"], t_of(p), part_filter).count)]
+
+    return cases
 
 
 def _distinct_odd_cases(p: dict) -> list[ClaimCase]:
@@ -128,12 +136,6 @@ def _fib_general_cases(p: dict) -> list[ClaimCase]:
     return cases
 
 
-def _conjecture2_cases(p: dict) -> list[ClaimCase]:
-    s = p["s"]
-    got = search.summarize_core(s, s + 2, "distinct").count
-    return [_case({"s": s}, conjecture2_count(s), got)]
-
-
 def _maxsize_s_s2_cases(p: dict) -> list[ClaimCase]:
     s = p["s"]
     summary = search.summarize_core(s, s + 2, "distinct")
@@ -164,32 +166,26 @@ def _maxsize_s_s1_cases(p: dict) -> list[ClaimCase]:
     ]
 
 
-def _anderson_cases(p: dict) -> list[ClaimCase]:
-    s, t = p["s"], p["t"]
-    got = search.summarize_core(s, t, "all").count
-    return [_case({"s": s, "t": t}, sequences.anderson_count(s, t), got)]
+# Scopes.  Each kind of range is one function of a claim's range flags that
+# returns the range text for the report and the list of case params, so the
+# text and the cases it describes come from one place.
 
+def _s_scope(max_s: int) -> tuple[str, list[dict]]:
+    return f"s = 1..{max_s}", [{"s": s} for s in range(1, max_s + 1)]
 
-def _selfconjugate_cases(p: dict) -> list[ClaimCase]:
-    s, t = p["s"], p["t"]
-    got = search.summarize_core(s, t, "self_conjugate").count
-    return [_case({"s": s, "t": t}, sequences.fms_selfconjugate_count(s, t), got)]
+def _odd_s_scope(max_s: int) -> tuple[str, list[dict]]:
+    return f"odd s = 3..{max_s}", [{"s": s} for s in range(3, max_s + 1, 2)]
 
+def _m_scope(max_m: int) -> tuple[str, list[dict]]:
+    return f"M = 1..{max_m}", [{"m": m} for m in range(1, max_m + 1)]
 
-def _s_params(max_s: int) -> list[dict]:
-    return [{"s": s} for s in range(1, max_s + 1)]
+def _ds_scope(max_d: int, max_s: int) -> tuple[str, list[dict]]:
+    return f"d = 1..{max_d}, s = 1..{max_s}", [
+        {"d": d, "s": s} for d in range(1, max_d + 1) for s in range(1, max_s + 1)
+    ]
 
-def _odd_s_params(max_s: int) -> list[dict]:
-    return [{"s": s} for s in range(3, max_s + 1, 2)]
-
-def _m_params(max_m: int) -> list[dict]:
-    return [{"m": m} for m in range(1, max_m + 1)]
-
-def _ds_params(max_d: int, max_s: int) -> list[dict]:
-    return [{"d": d, "s": s} for d in range(1, max_d + 1) for s in range(1, max_s + 1)]
-
-def _coprime_pair_params(max_sum: int) -> list[dict]:
-    return [
+def _coprime_pair_scope(max_sum: int) -> tuple[str, list[dict]]:
+    return f"coprime s < t with s + t <= {max_sum}", [
         {"s": s, "t": t}
         for s in range(1, max_sum)
         for t in range(s + 1, max_sum - s + 1)
@@ -205,71 +201,71 @@ CLAIMS: dict[str, Claim] = {
             "the number of (s, s+1)-core partitions into distinct parts is the "
             "Fibonacci number F(s+1)",
             {"max_s": 20},
-            _s_params,
-            _fib_distinct_cases,
-            lambda max_s: f"s = 1..{max_s}",
+            _s_scope,
+            _count_cases(
+                "distinct", lambda p: p["s"] + 1, lambda p: sequences.fibonacci(p["s"] + 1)
+            ),
         ),
         Claim(
             "distinct-odd",
             "partitions with perimeter M into distinct parts and into odd parts "
             "are both counted by F(M)",
             {"max_m": 20},
-            _m_params,
+            _m_scope,
             _distinct_odd_cases,
-            lambda max_m: f"M = 1..{max_m}",
         ),
         Claim(
             "fib-general",
             "the number of (s, ds-1)-core partitions into distinct parts matches "
             "the generalized Fibonacci polynomial and the twin-free tuple brute force",
             {"max_d": 3, "max_s": 8},
-            _ds_params,
+            _ds_scope,
             _fib_general_cases,
-            lambda max_d, max_s: f"d = 1..{max_d}, s = 1..{max_s}",
         ),
         Claim(
             "conjecture2",
             "for odd s, the number of (s, s+2)-core partitions into distinct parts "
             "is 2^(s-1)",
             {"max_s": 15},
-            _odd_s_params,
-            _conjecture2_cases,
-            lambda max_s: f"odd s = 3..{max_s}",
+            _odd_s_scope,
+            _count_cases("distinct", lambda p: p["s"] + 2, lambda p: conjecture2_count(p["s"])),
         ),
         Claim(
             "maxsize-s-s2",
             "the largest (s, s+2)-core with distinct parts is unique with size "
             "(s^2-1)(s+3)(5s+17)/384, (s-1)(s+5)/8 parts, largest part 3(s^2-1)/8",
             {"max_s": 15},
-            _odd_s_params,
+            _odd_s_scope,
             _maxsize_s_s2_cases,
-            lambda max_s: f"odd s = 3..{max_s}",
         ),
         Claim(
             "maxsize-s-s1",
             "the largest (s, s+1)-core with distinct parts has size floor(s(s+1)/6), "
             "with two maximal witnesses iff s = 1 mod 3 (s >= 4), else one",
             {"max_s": 18},
-            _s_params,
+            _s_scope,
             _maxsize_s_s1_cases,
-            lambda max_s: f"s = 1..{max_s}",
         ),
         Claim(
             "anderson",
             "the number of (s, t)-core partitions is C(s+t, s)/(s+t) for coprime s, t",
             {"max_sum": 15},
-            _coprime_pair_params,
-            _anderson_cases,
-            lambda max_sum: f"coprime s < t with s + t <= {max_sum}",
+            _coprime_pair_scope,
+            _count_cases(
+                "all", lambda p: p["t"], lambda p: sequences.anderson_count(p["s"], p["t"])
+            ),
         ),
         Claim(
             "selfconjugate",
             "the number of self-conjugate (s, t)-core partitions is "
             "C(s//2 + t//2, s//2) for coprime s, t",
             {"max_sum": 15},
-            _coprime_pair_params,
-            _selfconjugate_cases,
-            lambda max_sum: f"coprime s < t with s + t <= {max_sum}",
+            _coprime_pair_scope,
+            _count_cases(
+                "self_conjugate",
+                lambda p: p["t"],
+                lambda p: sequences.fms_selfconjugate_count(p["s"], p["t"]),
+            ),
         ),
     ]
 }
@@ -286,22 +282,23 @@ def _guarded_cases(claim: Claim, params: dict) -> list[ClaimCase]:
 def run_claim(name: str, **ranges: int) -> VerificationReport:
     """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError.
 
-    A case builder that raises does not end the run: it becomes a FAIL case.
+    A range value other than None must be an exact int, not a bool.  A case
+    builder that raises does not end the run: it becomes a FAIL case.
     """
     claim = CLAIMS[name]
     merged = dict(claim.defaults)
     for key, value in ranges.items():
         if value is None:
             continue
+        flag = "--" + key.replace("_", "-")
         if key not in claim.defaults:
-            raise ValueError(
-                f"claim {name!r} does not accept --{key.replace('_', '-')}; "
-                f"it accepts: {', '.join('--' + k.replace('_', '-') for k in claim.defaults)}"
-            )
+            accepted = ", ".join("--" + k.replace("_", "-") for k in claim.defaults)
+            raise ValueError(f"claim {name!r} does not accept {flag}; it accepts: {accepted}")
+        if type(value) is not int:
+            raise ValueError(f"claim {name!r} needs an integer {flag}, got {value!r}")
         merged[key] = value
     start = time.perf_counter()
-    param_list = claim.params(**merged)
-    described = claim.describe_range(**merged)
+    described, param_list = claim.scope(**merged)
     if not param_list:
         raise ValueError(f"claim {name!r} has no cases in the range {described}")
     cases = tuple(chain.from_iterable(_guarded_cases(claim, p) for p in param_list))

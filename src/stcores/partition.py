@@ -84,9 +84,10 @@ def hook_length(lam: Partition, i: int, j: int) -> int:
     """Hook length of cell (i, j): arm + leg + 1.
 
     The arm counts cells to the right in row i, the leg counts cells below
-    in column j.  Raises if (i, j) lies outside the diagram.
+    in column j.  Raises ValueError unless i, j are exact ints naming a cell.
     """
-    if i < 1 or i > lam.ell or j < 1 or j > lam.parts[i - 1]:
+    exact = type(i) is int and type(j) is int  # no bools, no floats
+    if not exact or i < 1 or i > lam.ell or j < 1 or j > lam.parts[i - 1]:
         raise ValueError(f"cell ({i}, {j}) is outside the Young diagram of {lam}")
     arm = lam.parts[i - 1] - j
     leg = sum(1 for r in range(i, lam.ell) if lam.parts[r] >= j)

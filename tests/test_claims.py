@@ -64,6 +64,13 @@ def test_wrong_range_flag_rejected():
     assert "--max-m" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [True, 2.5, "3"])
+def test_non_int_range_rejected(value):
+    with pytest.raises(ValueError) as err:
+        run_claim("fib-distinct", max_s=value)
+    assert "--max-s" in str(err.value)
+
+
 def test_none_ranges_fall_back_to_defaults():
     report = run_claim("anderson", max_sum=None)
     assert report.range == "coprime s < t with s + t <= 15"

@@ -11,6 +11,7 @@ from stcores import sequences as sequences_mod
 from stcores.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "distinct_core_counts_12x12.csv"
+VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_all.csv"
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +188,12 @@ class TestTable:
 
 
 class TestVerify:
+    def test_all_csv_matches_golden_byte_for_byte(self, capsys):
+        # every claim at its default range; perfbench pins the same bytes by sha256
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "csv")
+        assert code == 0
+        assert out.encode() == VERIFY_GOLDEN.read_bytes()
+
     def test_conjecture2_counts(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "conjecture2", "--max-s", "13")
         assert code == 0

@@ -74,7 +74,9 @@ class TestHookLength:
             ]
             assert got == grid
 
-    @pytest.mark.parametrize("i,j", [(2, 3), (3, 1), (0, 1), (1, 0), (1, 4)])
+    @pytest.mark.parametrize(
+        "i,j", [(2, 3), (3, 1), (0, 1), (1, 0), (1, 4), (True, 1), (1, 2.0), (1.0, 1)]
+    )
     def test_out_of_diagram(self, i, j):
         with pytest.raises(ValueError) as err:
             hook_length(Partition((3, 2)), i, j)
