@@ -22,7 +22,7 @@ from typing import Optional
 
 from .bijection import inverse_lambda_d, inverse_lambda_o, lambda_d, lambda_o
 from .claims import CLAIMS, run_claim
-from .partition import Partition, format_parts, hook_length, perimeter
+from .partition import Partition, format_parts, hook_rows, perimeter
 from .search import (
     FILTERS,
     InfiniteFamilyError,
@@ -41,6 +41,10 @@ TABLE_CAP = 12
 # Largest family `enumerate` lists without --force, about 4x the (11, 12)
 # family of 58,786; time and memory of a listing grow with its count.
 ENUMERATE_CAP = 250_000
+# Largest `render` partition (cells) and `bijection --distinct/--odd`
+# partition (perimeter): both build a list entry per cell or per unit of
+# perimeter, and at 10^6 either takes about a second.
+SHAPE_CAP = 1_000_000
 # Filters whose family size has a closed form, checked before listing.
 CLOSED_FORMS = {"all": anderson_count, "self_conjugate": fms_selfconjugate_count}
 # verify's range flags: every key some claim takes, in registry order.
@@ -120,6 +124,11 @@ def _cmd_enumerate(args) -> dict:
     if args.bound is not None:
         if args.bound < 0:
             raise ValueError("--bound must be nonnegative")
+        if not args.force and _count_sizes_upto(args.bound) > ENUMERATE_CAP:
+            raise ValueError(
+                f"--bound {args.bound} hook-tests every partition of size <= {args.bound}, "
+                f"more than the listing cap of {ENUMERATE_CAP}; rerun with --force"
+            )
         result = enumerate_core_bounded(args.s, args.t, args.part_filter, args.bound)
         print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
     else:
@@ -143,6 +152,24 @@ def _cmd_enumerate(args) -> dict:
     if args.bound is not None:
         payload.update(partial=True, bound=args.bound)
     return payload
+
+
+def _count_sizes_upto(bound: int) -> int:
+    """Number of partitions of 0..bound, exact until it passes ENUMERATE_CAP.
+
+    p(n) comes from Euler's pentagonal recurrence, and the count stops
+    growing once it is above the cap (at n = 41), so any bound is instant.
+    """
+    p = [1]
+    while len(p) <= bound and sum(p) <= ENUMERATE_CAP:
+        n = len(p)
+        p.append(sum(
+            (-1) ** (k + 1) * p[n - g]
+            for k in range(1, n + 1)
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+            if g <= n
+        ))
+    return sum(p)
 
 
 def _enumerate_text(p: dict) -> str:
@@ -175,6 +202,10 @@ def _cmd_table(args) -> dict:
     if (max_s > TABLE_CAP or max_t > TABLE_CAP) and not args.force:
         raise ValueError(
             f"requested table exceeds the default cap of {TABLE_CAP}; rerun with --force"
+        )
+    if args.inf_marker is not None and any(c in args.inf_marker for c in ",\r\n"):
+        raise ValueError(
+            f"--inf-marker must not contain a comma or a line break, got {args.inf_marker!r}"
         )
     default = INF_TEXT if args.format == "text" else INF_CSV
     marker = default if args.inf_marker is None else args.inf_marker
@@ -255,10 +286,14 @@ def _verify_csv(p: dict) -> str:
 def _cmd_bijection(args) -> dict:
     if args.mu is not None:
         mu = _parse_int_list(args.mu)  # lambda_d rejects an invalid composition
-    elif args.distinct is not None:
-        mu = inverse_lambda_d(Partition(_parse_int_list(args.distinct)))
     else:
-        mu = inverse_lambda_o(Partition(_parse_int_list(args.odd)))
+        distinct = args.distinct is not None
+        lam = Partition(_parse_int_list(args.distinct if distinct else args.odd))
+        if perimeter(lam) > SHAPE_CAP:
+            raise ValueError(
+                f"the partition has perimeter {perimeter(lam)}, above the limit of {SHAPE_CAP}"
+            )
+        mu = inverse_lambda_d(lam) if distinct else inverse_lambda_o(lam)
     image_d = lambda_d(mu)
     image_o = lambda_o(mu)
     return {
@@ -287,15 +322,15 @@ def _diagram_rows(lam: Partition, with_hooks: bool) -> list[str]:
         return ["(empty)"]
     if not with_hooks:
         return ["#" * p for p in lam.parts]
-    width = len(str(hook_length(lam, 1, 1)))
-    return [
-        " ".join(str(hook_length(lam, i, j)).rjust(width) for j in range(1, lam.parts[i - 1] + 1))
-        for i in range(1, lam.ell + 1)
-    ]
+    rows = list(hook_rows(lam))[::-1]
+    width = len(str(rows[0][0]))
+    return [" ".join(str(h).rjust(width) for h in row) for row in rows]
 
 
 def _cmd_render(args) -> dict:
     lam = Partition(_parse_int_list(args.partition))
+    if lam.size > SHAPE_CAP:
+        raise ValueError(f"the partition has {lam.size} cells, above the limit of {SHAPE_CAP}")
     rows = _diagram_rows(lam, args.hooks)
     return {"partition": lam.parts, "perimeter": perimeter(lam), "rows": rows}
 
@@ -340,8 +375,10 @@ def _build_parser() -> _Parser:
     )
     p_enum.add_argument(
         "--force", action="store_true",
-        help=f"list families above {ENUMERATE_CAP} partitions; the size is known in advance "
-        "for filters all and self_conjugate only, so distinct and odd are never refused",
+        help=f"list families above {ENUMERATE_CAP} partitions, or a --bound H whose sizes "
+        f"0..H hold more than {ENUMERATE_CAP} partitions to hook-test; a family's size is "
+        "known in advance for filters all and self_conjugate only, so without --bound "
+        "distinct and odd are never refused",
     )
     p_enum.set_defaults(func=_cmd_enumerate)
 

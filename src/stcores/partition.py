@@ -104,14 +104,26 @@ def perimeter(lam: Partition) -> int:
     return lam.parts[0] + lam.ell - 1
 
 
+def hook_rows(lam: Partition) -> Iterator[list[int]]:
+    """Each row's hook lengths, left to right, bottom row first.
+
+    One pass up the diagram: below[j] counts the cells of column j + 1 from
+    the current row down, so that cell's hook is its arm p - j - 1 plus
+    below[j].  The last row yielded is the top one, whose first hook is the
+    perimeter.  Every cell costs O(1); `hook_length` is the checked
+    single-cell route.
+    """
+    below = [0] * (lam.parts[0] if lam.parts else 0)
+    for p in reversed(lam.parts):
+        for j in range(p):
+            below[j] += 1
+        yield [p - j - 1 + below[j] for j in range(p)]
+
+
 def is_t_core(lam: Partition, t: int) -> bool:
     """True when no cell of the Young diagram has hook length t."""
     _require_int("t", t)
-    for i in range(1, lam.ell + 1):
-        for j in range(1, lam.parts[i - 1] + 1):
-            if hook_length(lam, i, j) == t:
-                return False
-    return True
+    return not any(t in row for row in hook_rows(lam))
 
 
 def has_distinct_parts(lam: Partition) -> bool:

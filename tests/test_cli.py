@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from stcores import claims as claims_mod
+from stcores import cli as cli_mod
 from stcores import search as search_mod
 from stcores import sequences as sequences_mod
 from stcores.cli import main
@@ -113,6 +114,29 @@ class TestEnumerate:
         assert out == ""
         assert count in err and "--force" in err
 
+    def test_huge_bound_refused_before_listing(self, capsys, monkeypatch):
+        def no_listing(*args, **kwargs):
+            raise AssertionError("the bounded listing started")
+
+        monkeypatch.setattr(cli_mod, "enumerate_core_bounded", no_listing)
+        code, out, err = run_cli(capsys, "enumerate", "--s", "2", "--t", "4", "--bound", "41")
+        assert code == 1
+        assert out == ""
+        assert "--bound 41" in err and "--force" in err
+
+    @pytest.mark.parametrize("extra", [("--bound", "41", "--force"), ("--bound", "40")])
+    def test_bound_at_cap_or_forced_reaches_listing(self, capsys, monkeypatch, extra):
+        calls = []
+
+        def listing_of_size_zero(s, t, part_filter, bound):
+            calls.append(bound)
+            return search_mod.enumerate_core_bounded(s, t, part_filter, 0)
+
+        monkeypatch.setattr(cli_mod, "enumerate_core_bounded", listing_of_size_zero)
+        code, _, _ = run_cli(capsys, "enumerate", "--s", "2", "--t", "4", *extra)
+        assert code == 0
+        assert calls == [int(extra[1])]
+
     def test_force_accepted_on_small_case(self, capsys):
         argv = ("enumerate", "--s", "3", "--t", "5", "--filter", "self_conjugate")
         code, plain, _ = run_cli(capsys, *argv)
@@ -159,6 +183,16 @@ class TestTable:
         )
         assert code == 0
         assert ",-," in out and "inf" not in out
+
+    @pytest.mark.parametrize("marker", [",", "a\nb", "\r"])
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_inf_marker_that_breaks_the_grid_exit_1(self, capsys, marker, fmt):
+        code, out, err = run_cli(
+            capsys, "table", "--max", "3", "--format", fmt, "--inf-marker", marker,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--inf-marker" in err
 
     def test_first_row_all_ones(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max", "6", "--filter", "distinct", "--format", "csv")
@@ -369,6 +403,23 @@ class TestRender:
         assert redump == out
         assert payload["rows"] == ["5 3 1", "3 1", "1"]
         assert payload["perimeter"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "--partition", "99999999999999999999"),
+        ("render", "--partition", "100000000000", "--hooks"),
+        ("bijection", "--distinct", "1000000000000"),
+    ],
+    ids=["render", "render-hooks", "bijection"],
+)
+def test_huge_shape_refused_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "limit of 1000000" in err
+    assert "Traceback" not in err
 
 
 class TestFormatTable:

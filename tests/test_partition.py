@@ -11,6 +11,7 @@ from stcores import (
     partitions_of,
     perimeter,
 )
+from stcores.partition import hook_rows
 
 from oracles import hook_multiset, iter_partitions, partitions
 
@@ -73,6 +74,7 @@ class TestHookLength:
                 for i in range(1, len(parts) + 1)
             ]
             assert got == grid
+            assert list(hook_rows(lam))[::-1] == grid
 
     @pytest.mark.parametrize(
         "i,j", [(2, 3), (3, 1), (0, 1), (1, 0), (1, 4), (True, 1), (1, 2.0), (1.0, 1)]
