@@ -41,9 +41,11 @@ TABLE_CAP = 12
 # Largest family `enumerate` lists without --force, about 4x the (11, 12)
 # family of 58,786; time and memory of a listing grow with its count.
 ENUMERATE_CAP = 250_000
-# Largest `render` partition (cells) and `bijection --distinct/--odd`
-# partition (perimeter): both build a list entry per cell or per unit of
-# perimeter, and at 10^6 either takes about a second.
+# Largest `render` partition (cells), `bijection --distinct/--odd`
+# partition (perimeter) and `enumerate` walk ((s-1)(t-1)/2 gaps): each builds
+# a list entry per cell, unit of perimeter or gap, and at 10^6 any of them
+# takes about a second.  Every family with that many gaps is astronomically
+# large, so --force does not lift the gap limit.
 SHAPE_CAP = 1_000_000
 # Filters whose family size has a closed form, checked before listing.
 CLOSED_FORMS = {"all": anderson_count, "self_conjugate": fms_selfconjugate_count}
@@ -74,8 +76,28 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {text!r} as a comma-separated integer list") from None
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+def _json_dump(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) for str-keyed payloads.
+
+    With an indent, json.dumps runs CPython's pure-Python encoder, one small
+    chunk per value.  Here a list of exact ints, such as a partition's
+    parts, is one join over map(str, ...); dicts and other lists recurse,
+    and every other leaf and every empty container goes through json.dumps.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj:
+        body = (
+            f"{json.dumps(key, ensure_ascii=False)}: {_json_dump(value, inner)}"
+            for key, value in sorted(obj.items())
+        )
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {int}:
+            body = map(str, obj)
+        else:
+            body = (_json_dump(value, inner) for value in obj)
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+    return json.dumps(obj, ensure_ascii=False)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -132,6 +154,12 @@ def _cmd_enumerate(args) -> dict:
         result = enumerate_core_bounded(args.s, args.t, args.part_filter, args.bound)
         print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
     else:
+        gaps = (args.s - 1) * (args.t - 1) // 2
+        if gcd(args.s, args.t) == 1 and gaps > SHAPE_CAP:
+            raise ValueError(
+                f"the ({args.s}, {args.t}) walk runs over {gaps} gaps, above the limit of "
+                f"{SHAPE_CAP}; --force does not lift it"
+            )
         closed_form = CLOSED_FORMS.get(args.part_filter)
         count = closed_form(args.s, args.t) if closed_form else 0
         if count > ENUMERATE_CAP and not args.force:
@@ -188,7 +216,7 @@ def _enumerate_text(p: dict) -> str:
 
 def _enumerate_csv(p: dict) -> str:
     return "\n".join(["size,parts"] + [
-        f"{sum(parts)},{' '.join(str(x) for x in parts)}" for parts in p["partitions"]
+        f"{sum(parts)},{' '.join(map(str, parts))}" for parts in p["partitions"]
     ])
 
 
@@ -378,7 +406,8 @@ def _build_parser() -> _Parser:
         help=f"list families above {ENUMERATE_CAP} partitions, or a --bound H whose sizes "
         f"0..H hold more than {ENUMERATE_CAP} partitions to hook-test; a family's size is "
         "known in advance for filters all and self_conjugate only, so without --bound "
-        "distinct and odd are never refused",
+        f"distinct and odd are refused only above {SHAPE_CAP} gaps, a limit --force "
+        "does not lift",
     )
     p_enum.set_defaults(func=_cmd_enumerate)
 

@@ -16,7 +16,7 @@ from .sequences import _require_int
 
 def format_parts(parts: Iterable[int]) -> str:
     """'(3,2,1)' for the parts 3, 2, 1; '()' for none."""
-    return "(" + ",".join(str(p) for p in parts) + ")"
+    return "(" + ",".join(map(str, parts)) + ")"
 
 
 @dataclass(frozen=True)

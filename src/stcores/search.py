@@ -48,6 +48,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .betaset import _decode_ascending, is_twin_free
@@ -206,9 +207,26 @@ def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
 
 
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
-    """Sort key: size ascending, then parts lexicographically descending."""
+    """Sort key: size ascending, then parts lexicographically descending.
+
+    The definition of canonical order.  The listings sort by `_canonical`,
+    which gives the same order faster; the tests compare the two.
+    """
     parts = lam.parts
     return (sum(parts), tuple([-p for p in parts]))
+
+
+def _canonical(found: Iterable[Partition]) -> list[Partition]:
+    """The partitions in canonical_key order, by two stable sorts on C-level keys.
+
+    Within one size no parts tuple is a proper prefix of another, since the
+    longer one would have the larger sum.  So descending parts order a size
+    exactly as ascending negated parts do, and the stable sort by size that
+    follows keeps that order inside each size.
+    """
+    ordered = sorted(found, key=attrgetter("parts"), reverse=True)
+    ordered.sort(key=attrgetter("size"))
+    return ordered
 
 
 @dataclass(frozen=True)
@@ -225,7 +243,7 @@ class EnumerationResult:
 
 
 def _result(s: int, t: int, part_filter: str, found: list[Partition]) -> EnumerationResult:
-    ordered = tuple(sorted(found, key=canonical_key))
+    ordered = tuple(_canonical(found))
     max_size = ordered[-1].size if ordered else 0  # sizes ascend in canonical order
     witnesses = tuple(lam for lam in ordered if lam.size == max_size)
     return EnumerationResult(s, t, part_filter, ordered, len(ordered), max_size, witnesses)
@@ -274,7 +292,7 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
             witnesses = [beta]
         elif size == max_size:
             witnesses.append(beta)
-    top = sorted(map(_decode_ascending, witnesses), key=canonical_key)
+    top = _canonical(map(_decode_ascending, witnesses))
     return CoreSummary(s, t, part_filter, count, max_size, tuple(top))
 
 
@@ -310,7 +328,7 @@ def _level(parts: Iterable[tuple[int, ...]]) -> list[Partition]:
     positive parts; for odd parts, an odd largest part followed by a weakly
     decreasing multiset of odd parts no larger than it.
     """
-    return sorted(map(Partition._trusted, parts), key=canonical_key)
+    return _canonical(map(Partition._trusted, parts))
 
 
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:

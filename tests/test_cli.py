@@ -4,6 +4,8 @@ import stat
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stcores import claims as claims_mod
 from stcores import cli as cli_mod
@@ -25,6 +27,42 @@ def reload_json(out: str):
     payload = json.loads(out)
     redump = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     return payload, redump
+
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    st.text(),
+)
+INT_LISTS = st.lists(st.integers(), max_size=4)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_LEAVES, INT_LISTS, INT_LISTS.map(tuple)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example(())
+@example({"": [], "é ✓": {}, "a": [()]})
+@example([7])
+@example((-(10**30),))
+@example([1, True, 2])
+@example([True, False])
+@example([1, None, 2.5, "x"])
+@example([[1, 2], [], [3]])
+def test_json_dump_matches_stdlib_encoder(value):
+    want = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    assert cli_mod._json_dump(value) == want
 
 
 class TestEnumerate:
@@ -136,6 +174,35 @@ class TestEnumerate:
         code, _, _ = run_cli(capsys, "enumerate", "--s", "2", "--t", "4", *extra)
         assert code == 0
         assert calls == [int(extra[1])]
+
+    @pytest.mark.parametrize("part_filter", sorted(search_mod.FILTERS))
+    @pytest.mark.parametrize("force", [(), ("--force",)])
+    def test_huge_walk_refused_even_with_force(self, capsys, monkeypatch, part_filter, force):
+        def no_listing(*args, **kwargs):
+            raise AssertionError("the listing started")
+
+        # Unpatched, a pair this large would try to allocate its gap poset.
+        monkeypatch.setattr(cli_mod, "enumerate_core", no_listing)
+        code, out, err = run_cli(
+            capsys, "enumerate", "--s", "99999999999", "--t", "100000000000",
+            "--filter", part_filter, *force,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "limit of 1000000" in err
+        assert "Traceback" not in err
+
+    def test_huge_non_coprime_pair_still_infinite(self, capsys, monkeypatch):
+        # The listing's own first check, without the walk behind it.
+        monkeypatch.setattr(
+            cli_mod, "enumerate_core", lambda s, t, part_filter: search_mod._require_coprime(s, t)
+        )
+        code, out, err = run_cli(
+            capsys, "enumerate", "--s", "100000000000", "--t", "100000000002", "--filter", "odd",
+        )
+        assert code == 2
+        assert out == ""
+        assert "infinite family" in err
 
     def test_force_accepted_on_small_case(self, capsys):
         argv = ("enumerate", "--s", "3", "--t", "5", "--filter", "self_conjugate")

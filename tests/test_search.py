@@ -1,3 +1,4 @@
+import random
 import sys
 from math import gcd
 
@@ -33,6 +34,7 @@ from stcores.partition import conjugate
 from stcores.search import (
     FILTERS,
     CoreSummary,
+    _canonical,
     _ideals,
     _result,
     canonical_key,
@@ -45,6 +47,7 @@ from oracles import (
     enumerate_core_reference,
     is_self_conjugate_beta,
     odd_by_perimeter_checked,
+    partitions,
     perimeter_family,
 )
 
@@ -146,6 +149,19 @@ class TestEnumerateCore:
         assert list(result.partitions) == sorted(result.partitions, key=canonical_key)
         again = enumerate_core(5, 7, "distinct")
         assert result == again
+
+    def test_canonical_helper_matches_canonical_key(self):
+        # (5, 3) is a prefix of (5, 3, 1) and (2, 1) of (2, 1, 1): the prefix
+        # comes first, by size, although it is smaller in descending order.
+        mixed = list(enumerate_core_bounded(2, 5, "all", 12).partitions) + [
+            Partition(parts) for parts in [(5, 3), (5, 3, 1), (2, 1), (2, 1, 1), (6, 2), (5, 3)]
+        ]
+        random.Random(10).shuffle(mixed)
+        assert _canonical(mixed) == sorted(mixed, key=canonical_key)
+
+    @given(st.lists(partitions(max_part=6, max_len=5)))
+    def test_canonical_helper_matches_canonical_key_on_any_list(self, family):
+        assert _canonical(family) == sorted(family, key=canonical_key)
 
     def test_distinct_results_have_twin_free_downclosed_betas(self):
         gaps = set(gap_poset(7, 9).gaps)
