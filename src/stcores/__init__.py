@@ -33,7 +33,6 @@ from .partition import (
 from .search import (
     CoreSummary,
     EnumerationResult,
-    GapPoset,
     InfiniteFamilyError,
     count_twin_free_tuples,
     enumerate_core,
@@ -64,7 +63,6 @@ __all__ = [
     "CoreSummary",
     "CountPolynomial",
     "EnumerationResult",
-    "GapPoset",
     "InfiniteFamilyError",
     "Partition",
     "VerificationReport",

@@ -25,12 +25,13 @@ from .claims import CLAIMS, run_claim
 from .partition import Partition, format_parts, hook_rows, perimeter
 from .search import (
     FILTERS,
+    GAP_LIMIT,
     InfiniteFamilyError,
     enumerate_core,
     enumerate_core_bounded,
+    family_size,
     summarize_core,
 )
-from .sequences import anderson_count, fms_selfconjugate_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,14 +42,10 @@ TABLE_CAP = 12
 # Largest family `enumerate` lists without --force, about 4x the (11, 12)
 # family of 58,786; time and memory of a listing grow with its count.
 ENUMERATE_CAP = 250_000
-# Largest `render` partition (cells), `bijection --distinct/--odd`
-# partition (perimeter) and `enumerate` walk ((s-1)(t-1)/2 gaps): each builds
-# a list entry per cell, unit of perimeter or gap, and at 10^6 any of them
-# takes about a second.  Every family with that many gaps is astronomically
-# large, so --force does not lift the gap limit.
+# Largest `render` partition (cells) and `bijection --distinct/--odd`
+# partition (perimeter): each builds a list entry per cell or unit of
+# perimeter, and at 10^6 either takes about a second.
 SHAPE_CAP = 1_000_000
-# Filters whose family size has a closed form, checked before listing.
-CLOSED_FORMS = {"all": anderson_count, "self_conjugate": fms_selfconjugate_count}
 # verify's range flags: every key some claim takes, in registry order.
 RANGE_KEYS = tuple(dict.fromkeys(k for c in CLAIMS.values() for k in c.defaults))
 INF_CSV = "inf"
@@ -154,15 +151,8 @@ def _cmd_enumerate(args) -> dict:
         result = enumerate_core_bounded(args.s, args.t, args.part_filter, args.bound)
         print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
     else:
-        gaps = (args.s - 1) * (args.t - 1) // 2
-        if gcd(args.s, args.t) == 1 and gaps > SHAPE_CAP:
-            raise ValueError(
-                f"the ({args.s}, {args.t}) walk runs over {gaps} gaps, above the limit of "
-                f"{SHAPE_CAP}; --force does not lift it"
-            )
-        closed_form = CLOSED_FORMS.get(args.part_filter)
-        count = closed_form(args.s, args.t) if closed_form else 0
-        if count > ENUMERATE_CAP and not args.force:
+        count = family_size(args.s, args.t, args.part_filter)  # refuses a walk too big to run
+        if count is not None and count > ENUMERATE_CAP and not args.force:
             raise ValueError(
                 f"the ({args.s}, {args.t}) family with filter {args.part_filter} has {count} "
                 f"partitions, above the listing cap of {ENUMERATE_CAP}; rerun with --force"
@@ -406,7 +396,7 @@ def _build_parser() -> _Parser:
         help=f"list families above {ENUMERATE_CAP} partitions, or a --bound H whose sizes "
         f"0..H hold more than {ENUMERATE_CAP} partitions to hook-test; a family's size is "
         "known in advance for filters all and self_conjugate only, so without --bound "
-        f"distinct and odd are refused only above {SHAPE_CAP} gaps, a limit --force "
+        f"distinct and odd are refused only above {GAP_LIMIT} gaps, a limit --force "
         "does not lift",
     )
     p_enum.set_defaults(func=_cmd_enumerate)

@@ -11,7 +11,9 @@ chain down to 0, which is impossible).  So these sets live inside the gaps
 of the numerical semigroup generated by s and t -- there are
 (s-1)(t-1)/2 gaps, the largest being s*t - s - t -- and they are exactly
 the down-closed subsets of the poset on the gaps in which x sits above
-x - s and x - t.
+x - s and x - t.  With a, b = min(s, t), max(s, t), the least member of
+<s, t> congruent to j*b mod a is j*b (0 <= j < a), so `gap_poset` lists
+each residue class as the chain j*b - a, j*b - 2a, ... while positive.
 
 The walk builds each ideal by adding gaps in ascending order, so every
 ideal is reached once, from the ideal without its largest element.  A node
@@ -49,7 +51,7 @@ from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .betaset import _decode_ascending, is_twin_free
 from .partition import (
@@ -62,30 +64,27 @@ from .partition import (
 )
 # InfiniteFamilyError is re-exported here.
 from .sequences import InfiniteFamilyError, _require_coprime, _require_int
+from .sequences import anderson_count, fms_selfconjugate_count
 
 
-@dataclass(frozen=True)
-class GapPoset:
-    """Gaps of the numerical semigroup <s, t>, ordered by x above x-s and x-t."""
-
-    s: int
-    t: int
-    gaps: tuple[int, ...]  # ascending
+GAP_LIMIT = 1_000_000
 
 
-def gap_poset(s: int, t: int) -> GapPoset:
-    """Gap poset for the pair (s, t); requires gcd(s, t) = 1."""
+def _require_walkable(s: int, t: int) -> None:
+    """_require_coprime, then ValueError above GAP_LIMIT gaps, as many as self_conjugate's arms."""
     _require_coprime(s, t)
-    if s == 1 or t == 1:
-        return GapPoset(s, t, ())
-    frob = s * t - s - t
-    representable = bytearray(frob + 1)
-    representable[0] = 1
-    for x in range(1, frob + 1):
-        if (x >= s and representable[x - s]) or (x >= t and representable[x - t]):
-            representable[x] = 1
-    gaps = tuple(x for x in range(1, frob + 1) if not representable[x])
-    return GapPoset(s, t, gaps)
+    gaps = (s - 1) * (t - 1) // 2
+    if gaps > GAP_LIMIT:
+        raise ValueError(
+            f"the ({s}, {t}) walk runs over {gaps} gaps, above the limit of {GAP_LIMIT}"
+        )
+
+
+def gap_poset(s: int, t: int) -> tuple[int, ...]:
+    """The gaps of <s, t>, ascending, listed by residue class mod min(s, t)."""
+    _require_walkable(s, t)
+    a, b = sorted((s, t))
+    return tuple(sorted(j * b - k * a for j in range(1, a) for k in range(1, j * b // a + 1)))
 
 
 def _ideals(
@@ -121,7 +120,9 @@ def _ideals(
     odd_parts = part_filter == "odd"
     partners = (s + 1, t + 1) if part_filter == "self_conjugate" else ()
     yield ()
-    top = members[-1] if members else 0
+    if not members:
+        return
+    top = members[-1]
     is_member = bytearray(top + max(s, t) + 1)
     for g in members:
         is_member[g] = 1
@@ -179,6 +180,17 @@ def _predicate(part_filter: str) -> Callable[[Partition], bool]:
         ) from None
 
 
+def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
+    """The closed-form count, None for distinct and odd; gated first: comb hangs on a huge pair."""
+    _predicate(part_filter)
+    _require_walkable(s, t)
+    if part_filter == "all":
+        return anderson_count(s, t)
+    if part_filter == "self_conjugate":
+        return fms_selfconjugate_count(s, t)
+    return None
+
+
 def _arms_to_beta(arms: tuple[int, ...]) -> tuple[int, ...]:
     """The ascending beta-set of the self-conjugate partition whose arms + 1 are `arms`.
 
@@ -199,9 +211,9 @@ def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     Every filter is decided by the walk; `self_conjugate` walks arm sets.
     """
     _predicate(part_filter)  # rejects unknown filters
+    _require_walkable(s, t)
     if part_filter != "self_conjugate":
-        return _ideals(s, t, gap_poset(s, t).gaps, part_filter)
-    _require_coprime(s, t)
+        return _ideals(s, t, gap_poset(s, t), part_filter)
     arms = tuple(range(1, (s * t - s - t + 1) // 2 + 1))
     return map(_arms_to_beta, _ideals(s, t, arms, part_filter))
 
@@ -253,9 +265,9 @@ def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResul
     """All (s, t)-core partitions passing the filter, canonically ordered.
 
     Requires gcd(s, t) = 1, otherwise the family is infinite and
-    InfiniteFamilyError is raised.  Filters: all, distinct, odd,
-    self_conjugate, each decided inside the walk, so only kept beta-sets
-    are decoded.
+    InfiniteFamilyError is raised, and at most GAP_LIMIT gaps, otherwise
+    ValueError.  Filters: all, distinct, odd, self_conjugate, each decided
+    inside the walk, so only kept beta-sets are decoded.
     """
     found = [_decode_ascending(beta) for beta in _kept_betas(s, t, part_filter)]
     return _result(s, t, part_filter, found)

@@ -3,10 +3,11 @@
 Everything here recomputes expected values by a route different from the
 implementation under test: a different partition-generation algorithm,
 direct box enumeration for fixed perimeter, restricted recursive
-counters, the original recursive order-ideal walk with partition-level
-filters, the original beta-set test for self-conjugacy, and the original
-perimeter-level recurrences and composition maps, which construct every
-partition through the checked `Partition(...)`.
+counters, the original gap sieve, the original recursive order-ideal
+walk with partition-level filters, the original beta-set test for
+self-conjugacy, and the original perimeter-level recurrences and
+composition maps, which construct every partition through the checked
+`Partition(...)`.
 Keep these dumb.
 """
 
@@ -16,9 +17,10 @@ from typing import Callable, Iterator
 
 import hypothesis.strategies as st
 
-from stcores import EnumerationResult, GapPoset, Partition, from_beta, gap_poset, hook_length
+from stcores import EnumerationResult, Partition, from_beta, hook_length
 from stcores.bijection import _checked
 from stcores.search import FILTERS, _predicate, _result, canonical_key
+from stcores.sequences import _require_coprime
 
 
 def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -47,15 +49,28 @@ def iter_partitions(n: int) -> Iterator[tuple[int, ...]]:
             remainder -= take
 
 
-def down_closed_subsets_recursive(poset: GapPoset, twin_free_only: bool) -> list[frozenset[int]]:
-    """All order ideals of the gap poset by recursive take/leave over the gaps.
+def sieve_gaps(s: int, t: int) -> tuple[int, ...]:
+    """The gaps of <s, t>, ascending, by sieving 0..s*t - s - t for representable numbers."""
+    _require_coprime(s, t)
+    if s == 1 or t == 1:
+        return ()
+    frob = s * t - s - t
+    representable = bytearray(frob + 1)
+    representable[0] = 1
+    for x in range(1, frob + 1):
+        if (x >= s and representable[x - s]) or (x >= t and representable[x - t]):
+            representable[x] = 1
+    return tuple(x for x in range(1, frob + 1) if not representable[x])
+
+
+def down_closed_subsets_recursive(s: int, t: int, twin_free_only: bool) -> list[frozenset[int]]:
+    """All order ideals of the (s, t) gap poset by recursive take/leave over the sieved gaps.
 
     Each gap in ascending order is either left out or, when its lower
     covers are present, taken.  The recursion is one level per gap, so keep
     the posets small (under ~900 gaps).
     """
-    order = poset.gaps
-    s, t = poset.s, poset.t
+    order = sieve_gaps(s, t)
     chosen: set[int] = set()
     found: list[frozenset[int]] = []
 
@@ -99,7 +114,7 @@ def enumerate_core_reference(s: int, t: int, part_filter: str = "all") -> Enumer
     predicate = _predicate(part_filter)
     found = [
         lam
-        for lam in map(from_beta, down_closed_subsets_recursive(gap_poset(s, t), part_filter == "distinct"))
+        for lam in map(from_beta, down_closed_subsets_recursive(s, t, part_filter == "distinct"))
         if predicate(lam)
     ]
     return _result(s, t, part_filter, found)

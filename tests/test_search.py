@@ -49,28 +49,35 @@ from oracles import (
     odd_by_perimeter_checked,
     partitions,
     perimeter_family,
+    sieve_gaps,
 )
 
 
 class TestGapPoset:
     def test_small_examples(self):
-        assert gap_poset(3, 5).gaps == (1, 2, 4, 7)
-        assert gap_poset(2, 3).gaps == (1,)
-        assert gap_poset(3, 4).gaps == (1, 2, 5)
+        assert gap_poset(3, 5) == (1, 2, 4, 7)
+        assert gap_poset(2, 3) == (1,)
+        assert gap_poset(3, 4) == (1, 2, 5)
 
     def test_trivial_generator(self):
-        assert gap_poset(1, 9).gaps == ()
-        assert gap_poset(9, 1).gaps == ()
-        assert gap_poset(1, 1).gaps == ()
+        assert gap_poset(1, 9) == ()
+        assert gap_poset(9, 1) == ()
+        assert gap_poset(1, 1) == ()
+        # no universe is sized by the huge generator
+        assert gap_poset(1, 10**12) == gap_poset(10**12, 1) == ()
+        assert enumerate_core(1, 10**12).count == 1
+        assert summarize_core(10**12, 1, "self_conjugate").count == 1
 
     def test_genus_and_frobenius_formulas(self):
-        for s in range(2, 13):
-            for t in range(s + 1, 13):
+        for s in range(1, 41):
+            for t in range(1, 41):
                 if gcd(s, t) != 1:
                     continue
-                poset = gap_poset(s, t)
-                assert len(poset.gaps) == (s - 1) * (t - 1) // 2
-                assert poset.gaps[-1] == s * t - s - t
+                gaps = gap_poset(s, t)
+                assert gaps == sieve_gaps(s, t), (s, t)
+                assert len(gaps) == (s - 1) * (t - 1) // 2
+                if gaps:
+                    assert gaps[-1] == s * t - s - t
 
     @pytest.mark.parametrize("s,t,common", [(2, 4, 2), (6, 9, 3), (4, 4, 4), (12, 12, 12)])
     def test_non_coprime(self, s, t, common):
@@ -84,6 +91,28 @@ class TestGapPoset:
     def test_rejects_nonpositive(self, s, t):
         with pytest.raises(ValueError):
             gap_poset(s, t)
+
+
+class TestGapLimit:
+    @pytest.mark.parametrize("s,t", [(99999999999, 100000000000), (1500, 1501)])
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_huge_walk_refused_before_walking(self, monkeypatch, s, t, part_filter):
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        # Unpatched, (1500, 1501) would walk for minutes if the gate let it through.
+        monkeypatch.setattr(search, "_ideals", no_walk)
+        for call in (enumerate_core, summarize_core, search.family_size):
+            with pytest.raises(ValueError, match="limit of 1000000"):
+                call(s, t, part_filter)
+        with pytest.raises(ValueError, match="limit of 1000000"):
+            gap_poset(s, t)
+
+    def test_limit_boundary(self):
+        # (s-1)(t-1)/2 gaps: exactly 10^6 passes, 10^6 + 1 is refused
+        assert search.family_size(2, 2000001, "odd") is None
+        with pytest.raises(ValueError, match="1000001 gaps, above the limit of 1000000"):
+            search.family_size(2, 2000003, "odd")
 
 
 class TestEnumerateCore:
@@ -137,7 +166,7 @@ class TestEnumerateCore:
     @pytest.mark.parametrize("s,t", [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (4, 5)])
     def test_matches_bounded_oracle_all_filters(self, s, t):
         # the bound sum(gaps) provably covers every core of the pair
-        bound = sum(gap_poset(s, t).gaps)
+        bound = sum(gap_poset(s, t))
         naive_all = enumerate_core_bounded(s, t, "all", bound).partitions
         for name, predicate in FILTERS.items():
             fast = enumerate_core(s, t, name)
@@ -164,7 +193,7 @@ class TestEnumerateCore:
         assert _canonical(family) == sorted(family, key=canonical_key)
 
     def test_distinct_results_have_twin_free_downclosed_betas(self):
-        gaps = set(gap_poset(7, 9).gaps)
+        gaps = set(gap_poset(7, 9))
         for lam in enumerate_core(7, 9, "distinct").partitions:
             beta = to_beta(lam)
             assert is_twin_free(beta)
@@ -205,7 +234,7 @@ class TestBetaSetPath:
         for s in range(1, 18):
             for t in range(s + 1, 19 - s):
                 if gcd(s, t) == 1:
-                    gaps = gap_poset(s, t).gaps
+                    gaps = gap_poset(s, t)
                     full = _ideals(s, t, gaps, "all")
                     want = [beta for beta in full if has_odd_parts(_decode_ascending(beta))]
                     assert list(_ideals(s, t, gaps, "odd")) == want, (s, t)
@@ -215,7 +244,7 @@ class TestBetaSetPath:
     )
     def test_self_conjugate_walk_matches_post_filter(self, s, t):
         # the arm-set walk against the unpruned gap walk plus the beta-set predicate
-        gaps = gap_poset(s, t).gaps
+        gaps = gap_poset(s, t)
         kept = [beta for beta in _ideals(s, t, gaps, "all") if is_self_conjugate_beta(beta)]
         want = _result(s, t, "self_conjugate", [_decode_ascending(beta) for beta in kept])
         assert enumerate_core(s, t, "self_conjugate") == want
@@ -286,15 +315,19 @@ class TestSummaryFold:
         summary = summarize_core(s, t, part_filter)
         assert (summary.s, summary.t, summary.filter) == (s, t, part_filter)
         assert _summary_of(summary) == _summary_of(enumerate_core(s, t, part_filter))
+        size = search.family_size(s, t, part_filter)
         if part_filter in CLOSED_FORMS:
-            assert summary.count == CLOSED_FORMS[part_filter](s, t)
+            assert size == summary.count == CLOSED_FORMS[part_filter](s, t)
+        else:
+            assert size is None
 
     def test_errors_match_enumerate_core(self):
-        with pytest.raises(InfiniteFamilyError):
-            summarize_core(2, 4, "distinct")
-        with pytest.raises(ValueError) as err:
-            summarize_core(3, 4, "weird")
-        assert "distinct" in str(err.value)
+        for call in (summarize_core, search.family_size):
+            with pytest.raises(InfiniteFamilyError):
+                call(2, 4, "distinct")
+            with pytest.raises(ValueError) as err:
+                call(3, 4, "weird")
+            assert "distinct" in str(err.value)
         with pytest.raises(ValueError):
             summarize_core(True, 2)
 
