@@ -11,9 +11,17 @@ chain down to 0, which is impossible).  So these sets live inside the gaps
 of the numerical semigroup generated by s and t -- there are
 (s-1)(t-1)/2 gaps, the largest being s*t - s - t -- and they are exactly
 the down-closed subsets of the poset on the gaps in which x sits above
-x - s and x - t.  With a, b = min(s, t), max(s, t), the least member of
-<s, t> congruent to j*b mod a is j*b (0 <= j < a), so `gap_poset` lists
-each residue class as the chain j*b - a, j*b - 2a, ... while positive.
+x - s and x - t.  `gap_poset` is the public listing of the gaps: with
+a, b = min(s, t), max(s, t), the least member of <s, t> congruent to
+j*b mod a is j*b (0 <= j < a), so it lists each residue class as the chain
+j*b - a, j*b - 2a, ... while positive.  The walk does not read it.
+
+The walk needs no gap list, only one rule.  With top = F = s*t - s - t,
+y is addable to an ideal once y <= top and each of y - s, y - t is chosen
+or below the floor 0; a chain that reaches 0 makes y representable.  A
+number whose lower covers are gaps or negative is a gap, so every y the
+rule admits is one, and the only table is the chosen set, sized by top.
+The roots, addable to the empty ideal, are 1..min(s, t) - 1.
 
 The walk builds each ideal by adding gaps in ascending order, so every
 ideal is reached once, from the ideal without its largest element.  A node
@@ -31,11 +39,12 @@ descendant.  `self_conjugate` walks X = {lam_i - i + 1 : lam_i >= i}, the
 Frobenius arms plus one (Ford, Mai & Sze 2009): lam is an (s, t)-core
 exactly when X is closed under subtracting s and t while positive and no
 x, x' in X (x = x' included) have x + x' in {s + 1, t + 1}, a partner
-prune shaped like the twin-free one.  X lies in 1..(F+1)//2 with
-F = s*t - s - t, since 2*max(X) - 1 is the (1, 1) hook, a gap; then
-`_arms_to_beta` turns X into the beta-set.  The partition-level
-predicates in FILTERS stay as the oracle for the bounded enumerator and
-the tests.
+prune shaped like the twin-free one.  X lies in 1..(F+1)//2, since
+2*max(X) - 1 is the (1, 1) hook, a gap.  So the same rule walks the arm
+sets with top = (F+1)//2 and the floor 1, the closure holding only while
+positive, from the roots 1..min(s, t, top); then `_arms_to_beta` turns X
+into the beta-set.  The partition-level predicates in FILTERS stay as the
+oracle for the bounded enumerator and the tests.
 
 Consumers that need no listing fold over the kept beta-sets instead of
 decoding them: `summarize_core` counts them and tracks the largest size,
@@ -47,7 +56,7 @@ same walk, so the listing stays a second route to every count.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
@@ -87,24 +96,21 @@ def gap_poset(s: int, t: int) -> tuple[int, ...]:
     return tuple(sorted(j * b - k * a for j in range(1, a) for k in range(1, j * b // a + 1)))
 
 
-def _ideals(
-    s: int, t: int, members: tuple[int, ...], part_filter: str
-) -> Iterator[tuple[int, ...]]:
-    """The order ideals of `members` kept by the walk, each once, ascending.
+def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
+    """The order ideals kept by the walk, each once, ascending.
 
-    `members` is ascending and closed under subtracting s and t while the
-    result stays positive: the gaps of <s, t>, or 1..(F+1)//2 for
-    `self_conjugate`.  Its minimal elements are the members <= min(s, t)
-    in both universes, since min(s, t) is never a gap.
+    The module's rule: y <= top, and y - s, y - t chosen or below the
+    floor; top = F and floor 0 for gaps, (F+1)//2 and 1 for the arm sets
+    of `self_conjugate`.
 
-    Depth first: a frame holds a node's addable members above its last
-    element, ascending, and the position of the next one to try.  For
-    `distinct`, only ideals without two consecutive elements are walked.
-    That prune is sound because elements are added in ascending order and
-    a later, larger element can never repair a consecutive pair.  Dropping
-    x + 1 from the candidates when x is added is all it takes: a gap y
-    becomes a candidate when its larger lower cover, at most y - 2, is
-    added, so it is already a candidate by the time y - 1 is added.
+    Depth first: a frame holds a node's addable elements above its last
+    element, ascending, and is consumed from the front.  For `distinct`,
+    only ideals without two consecutive elements are walked.  That prune is
+    sound because elements are added in ascending order and a later, larger
+    element can never repair a consecutive pair.  Dropping x + 1 from the
+    candidates when x is added is all it takes: a gap y becomes a candidate
+    when its larger lower cover, at most y - 2, is added, so it is already a
+    candidate by the time y - 1 is added.
 
     For `odd`, only ideals whose parts beta[j] - j are all odd are walked:
     x would land at index len(ideal), and no later element moves it, so an
@@ -116,31 +122,24 @@ def _ideals(
     is x itself or a chosen x' < x, which then stays in every descendant.
     Every other filter name walks every ideal.
     """
+    arm_sets = part_filter == "self_conjugate"
+    frob = s * t - s - t
+    top, floor = ((frob + 1) // 2, 1) if arm_sets else (frob, 0)
     twin_free = part_filter == "distinct"
     odd_parts = part_filter == "odd"
-    partners = (s + 1, t + 1) if part_filter == "self_conjugate" else ()
-    yield ()
-    if not members:
-        return
-    top = members[-1]
-    is_member = bytearray(top + max(s, t) + 1)
-    for g in members:
-        is_member[g] = 1
+    partners = (s + 1, t + 1) if arm_sets else ()
     chosen = bytearray(top + 1)
     ideal: list[int] = []
-    frames = [[g for g in members if g <= min(s, t)]]  # the members without lower covers
-    starts = [0]
+    frames = [list(range(1, min(min(s, t) + floor, top + 1)))]  # y - min(s, t) < floor
+    yield ()
     while frames:
         candidates = frames[-1]
-        i = starts[-1]
-        if i == len(candidates):
+        if not candidates:
             frames.pop()
-            starts.pop()
             if ideal:
                 chosen[ideal.pop()] = 0
             continue
-        starts[-1] = i + 1
-        x = candidates[i]
+        x = candidates.pop(0)
         if odd_parts and not (x - len(ideal)) & 1:
             continue
         if partners and any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in partners):
@@ -148,19 +147,15 @@ def _ideals(
         ideal.append(x)
         chosen[x] = 1
         yield tuple(ideal)
-        rest = candidates[i + 1 :]
+        rest = candidates[:]
         if twin_free and rest and rest[0] == x + 1:
             del rest[0]
         # x is a lower cover of x + s and x + t only; their other covers are
         # x + s - t and x + t - s.
         for y, other in ((x + s, x + s - t), (x + t, x + t - s)):
-            if is_member[y] and (other <= 0 or chosen[other]):
+            if y <= top and (other < floor or chosen[other]):
                 insort(rest, y)
-        if rest:
-            frames.append(rest)
-            starts.append(0)
-        else:
-            chosen[ideal.pop()] = 0
+        frames.append(rest)
 
 
 FILTERS: dict[str, Callable[[Partition], bool]] = {
@@ -212,10 +207,8 @@ def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """
     _predicate(part_filter)  # rejects unknown filters
     _require_walkable(s, t)
-    if part_filter != "self_conjugate":
-        return _ideals(s, t, gap_poset(s, t), part_filter)
-    arms = tuple(range(1, (s * t - s - t + 1) // 2 + 1))
-    return map(_arms_to_beta, _ideals(s, t, arms, part_filter))
+    ideals = _ideals(s, t, part_filter)
+    return map(_arms_to_beta, ideals) if part_filter == "self_conjugate" else ideals
 
 
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
@@ -257,7 +250,7 @@ class EnumerationResult:
 def _result(s: int, t: int, part_filter: str, found: list[Partition]) -> EnumerationResult:
     ordered = tuple(_canonical(found))
     max_size = ordered[-1].size if ordered else 0  # sizes ascend in canonical order
-    witnesses = tuple(lam for lam in ordered if lam.size == max_size)
+    witnesses = ordered[bisect_left(ordered, max_size, key=attrgetter("size")) :]
     return EnumerationResult(s, t, part_filter, ordered, len(ordered), max_size, witnesses)
 
 

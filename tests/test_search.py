@@ -36,6 +36,7 @@ from stcores.search import (
     CoreSummary,
     _canonical,
     _ideals,
+    _kept_betas,
     _result,
     canonical_key,
     summarize_core,
@@ -44,6 +45,7 @@ from stcores.search import (
 from oracles import (
     brute_partitions_upto,
     distinct_by_perimeter_checked,
+    down_closed_subsets_recursive,
     enumerate_core_reference,
     is_self_conjugate_beta,
     odd_by_perimeter_checked,
@@ -67,6 +69,10 @@ class TestGapPoset:
         assert gap_poset(1, 10**12) == gap_poset(10**12, 1) == ()
         assert enumerate_core(1, 10**12).count == 1
         assert summarize_core(10**12, 1, "self_conjugate").count == 1
+        # the walk sizes its table by F, never by the huge generator
+        for s, t in [(1, 10**12), (10**12, 1), (1, 1)]:
+            for part_filter in sorted(FILTERS):
+                assert list(_ideals(s, t, part_filter)) == [()], (s, t, part_filter)
 
     def test_genus_and_frobenius_formulas(self):
         for s in range(1, 41):
@@ -188,6 +194,25 @@ class TestEnumerateCore:
         random.Random(10).shuffle(mixed)
         assert _canonical(mixed) == sorted(mixed, key=canonical_key)
 
+    def test_witnesses_are_the_tail_of_the_listing(self):
+        # the size-ascending tail against a scan of every listed size
+        mixed = list(enumerate_core_bounded(2, 5, "all", 12).partitions)
+        random.Random(12).shuffle(mixed)
+        families = [
+            mixed,
+            enumerate_core_bounded(3, 6, "all", 12).partitions,
+            enumerate_core(10, 11, "distinct").partitions,
+            enumerate_core(11, 12).partitions,
+            [],
+        ]
+        counts = []
+        for found in families:
+            result = _result(0, 0, "all", list(found))
+            scan = tuple(lam for lam in result.partitions if lam.size == result.max_size)
+            assert result.max_size_witnesses == scan
+            counts.append(len(scan))
+        assert counts == [1, 2, 2, 1, 0]
+
     @given(st.lists(partitions(max_part=6, max_len=5)))
     def test_canonical_helper_matches_canonical_key_on_any_list(self, family):
         assert _canonical(family) == sorted(family, key=canonical_key)
@@ -224,6 +249,21 @@ class TestBetaSetPath:
                     fast = enumerate_core(s, t, part_filter)
                     assert fast == enumerate_core_reference(s, t, part_filter), (s, t)
 
+    @pytest.mark.parametrize(
+        "s,t",
+        [
+            pair
+            for s in range(1, 12)
+            for t in (s + 1, s + 2, 2 * s - 1, 2 * s + 1)
+            if gcd(s, t) == 1
+            for pair in ((s, t), (t, s))
+        ],
+    )
+    def test_distinct_walk_matches_recursive_take_leave(self, s, t):
+        # the addability rule, with no gap list, against take/leave over the sieved gaps
+        want = sorted(tuple(sorted(ideal)) for ideal in down_closed_subsets_recursive(s, t, True))
+        assert sorted(_kept_betas(s, t, "distinct")) == want
+
     def test_self_conjugate_beta_predicate_exhaustive(self):
         for lam in brute_partitions_upto(14):
             beta = tuple(sorted(to_beta(lam)))
@@ -234,24 +274,21 @@ class TestBetaSetPath:
         for s in range(1, 18):
             for t in range(s + 1, 19 - s):
                 if gcd(s, t) == 1:
-                    gaps = gap_poset(s, t)
-                    full = _ideals(s, t, gaps, "all")
+                    full = _ideals(s, t, "all")
                     want = [beta for beta in full if has_odd_parts(_decode_ascending(beta))]
-                    assert list(_ideals(s, t, gaps, "odd")) == want, (s, t)
+                    assert list(_ideals(s, t, "odd")) == want, (s, t)
 
     @pytest.mark.parametrize(
         "s,t", [(s, t) for s in range(1, 13) for t in range(1, 13) if gcd(s, t) == 1]
     )
     def test_self_conjugate_walk_matches_post_filter(self, s, t):
         # the arm-set walk against the unpruned gap walk plus the beta-set predicate
-        gaps = gap_poset(s, t)
-        kept = [beta for beta in _ideals(s, t, gaps, "all") if is_self_conjugate_beta(beta)]
+        kept = [beta for beta in _ideals(s, t, "all") if is_self_conjugate_beta(beta)]
         want = _result(s, t, "self_conjugate", [_decode_ascending(beta) for beta in kept])
         assert enumerate_core(s, t, "self_conjugate") == want
         assert _summary_of(summarize_core(s, t, "self_conjugate")) == _summary_of(want)
         # every walked arm set is kept
-        arms = tuple(range(1, (s * t - s - t + 1) // 2 + 1))
-        walked = sum(1 for _ in _ideals(s, t, arms, "self_conjugate"))
+        walked = sum(1 for _ in _ideals(s, t, "self_conjugate"))
         assert walked == len(kept) == fms_selfconjugate_count(s, t)
 
     def test_unchecked_decode_exhaustive(self):
