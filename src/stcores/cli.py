@@ -52,23 +52,15 @@ INF_CSV = "inf"
 INF_TEXT = "∞"
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage errors with exit code 1 instead of 2."""
-
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse '3,2,1', '(3,2,1)' or '{3,2,1}' into a tuple of ints."""
+    """Parse '3,2,1', '(3,2,1)' or '{3,2,1}' into a tuple of ints; blanks may not split a number."""
     stripped = text.strip()
     if stripped[:1] + stripped[-1:] in ("()", "{}", "[]"):
         stripped = stripped[1:-1].strip()
     if not stripped:
         return ()
     try:
-        return tuple(int(tok) for tok in stripped.replace(" ", "").split(","))
+        return tuple(int(tok) for tok in stripped.split(","))
     except ValueError:
         raise ValueError(f"cannot parse {text!r} as a comma-separated integer list") from None
 
@@ -366,8 +358,8 @@ RENDERERS = {
 
 # -------------------------------------------------------------------- main
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="stcores",
         description="Exact enumeration and verification of simultaneous core partitions.",
     )
@@ -452,8 +444,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse --help exits 0, usage errors exit 1
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         payload = args.func(args)
         render = {"json": _json_dump, **RENDERERS[args.command]}.get(args.format)

@@ -33,14 +33,16 @@ bounds the work per ideal instead of the number of gaps.  The walk runs on
 an explicit stack, so its depth is not bounded by the recursion limit.
 
 Every filter is decided inside the walk, so it yields only kept ideals
-and only those are decoded.  `distinct` and `odd` prune the walk over the
-gaps: two consecutive elements, or an even part beta[j] - j, stay in every
-descendant.  `self_conjugate` walks X = {lam_i - i + 1 : lam_i >= i}, the
-Frobenius arms plus one (Ford, Mai & Sze 2009): lam is an (s, t)-core
-exactly when X is closed under subtracting s and t while positive and no
-x, x' in X (x = x' included) have x + x' in {s + 1, t + 1}, a partner
-prune shaped like the twin-free one.  X lies in 1..(F+1)//2, since
-2*max(X) - 1 is the (1, 1) hook, a gap.  So the same rule walks the arm
+and only those are decoded.  Each is one test on a popped candidate x;
+when it holds, the walk skips x and every ideal built on it.  The tests,
+tabled in `_ideals`: x - 1 chosen for `distinct` (two consecutive
+first-column hooks are two equal parts), x landing on an even part
+beta[j] - j for `odd`, and a chosen partner for `self_conjugate`.  That
+filter walks X = {lam_i - i + 1 : lam_i >= i}, the Frobenius arms plus one
+(Ford, Mai & Sze 2009): lam is an (s, t)-core exactly when X is closed
+under subtracting s and t while positive and no x, x' in X (x = x'
+included) have x + x' in {s + 1, t + 1}; such x, x' are partners.  X lies
+in 1..(F+1)//2, since 2*max(X) - 1 is the (1, 1) hook, a gap.  So the same rule walks the arm
 sets with top = (F+1)//2 and the floor 1, the closure holding only while
 positive, from the roots 1..min(s, t, top); then `_arms_to_beta` turns X
 into the beta-set.  The partition-level predicates in FILTERS stay as the
@@ -99,28 +101,28 @@ def gap_poset(s: int, t: int) -> tuple[int, ...]:
 def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """The order ideals kept by the walk, each once, ascending.
 
-    The module's rule: y <= top, and y - s, y - t chosen or below the
-    floor; top = F and floor 0 for gaps, (F+1)//2 and 1 for the arm sets
-    of `self_conjugate`.
+    The module's rule: y is addable once y <= top and y - s, y - t are
+    chosen or below the floor; top = F and floor 0 for gaps, (F+1)//2 and 1
+    for the arm sets of `self_conjugate`.
 
     Depth first: a frame holds a node's addable elements above its last
-    element, ascending, and is consumed from the front.  For `distinct`,
-    only ideals without two consecutive elements are walked.  That prune is
-    sound because elements are added in ascending order and a later, larger
-    element can never repair a consecutive pair.  Dropping x + 1 from the
-    candidates when x is added is all it takes: a gap y becomes a candidate
-    when its larger lower cover, at most y - 2, is added, so it is already a
-    candidate by the time y - 1 is added.
+    element, ascending, and is consumed from the front.  A filter is one
+    test on the popped candidate x; when it holds, x is skipped:
 
-    For `odd`, only ideals whose parts beta[j] - j are all odd are walked:
-    x would land at index len(ideal), and no later element moves it, so an
-    even part there stays in every descendant.  The candidate is skipped,
-    not removed: the children of smaller candidates still inherit it, and
-    there it lands one index deeper, with the other parity.
+        filter           skip x when                  what stays
+        distinct         x - 1 is chosen              the twins x - 1, x
+        odd              x - len(ideal) is even       that even part
+        self_conjugate   p - x is x or chosen,        x and its partner
+                         for p in (s + 1, t + 1)
 
-    For `self_conjugate`, x is skipped when its partner p - x, p in partners,
-    is x itself or a chosen x' < x, which then stays in every descendant.
-    Every other filter name walks every ideal.
+    Every candidate lies above the last element, so x - 1 can only be that
+    element, x lands at index len(ideal), and a partner below x is chosen
+    already.  The one invariant: a skip drops exactly the ideals that
+    extend the current ideal plus x by larger elements, and its reason
+    holds in all of them, since a larger element moves neither x's index
+    nor anything below x.  A skipped x is not inherited by later siblings,
+    which lie above it; the children of smaller candidates still inherit it
+    and test it afresh.  Every other filter name walks every ideal.
     """
     arm_sets = part_filter == "self_conjugate"
     frob = s * t - s - t
@@ -140,6 +142,8 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
                 chosen[ideal.pop()] = 0
             continue
         x = candidates.pop(0)
+        if twin_free and chosen[x - 1]:
+            continue
         if odd_parts and not (x - len(ideal)) & 1:
             continue
         if partners and any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in partners):
@@ -148,8 +152,6 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
         chosen[x] = 1
         yield tuple(ideal)
         rest = candidates[:]
-        if twin_free and rest and rest[0] == x + 1:
-            del rest[0]
         # x is a lower cover of x + s and x + t only; their other covers are
         # x + s - t and x + t - s.
         for y, other in ((x + s, x + s - t), (x + t, x + t - s)):

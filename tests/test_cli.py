@@ -489,6 +489,32 @@ def test_huge_shape_refused_exit_1(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "--partition", "3 2 1"),
+        ("bijection", "--distinct", "4 3"),
+        ("render", "--partition", "1 0, 2"),
+    ],
+    ids=["render", "bijection", "split-number"],
+)
+def test_blank_inside_a_number_exit_1(capsys, argv):
+    # a blank splits a number instead of being dropped: "3 2 1" is not 321
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "cannot parse" in err
+
+
+@pytest.mark.parametrize(
+    "text,rows",
+    [(" ( 3 , 2 ) ", "###\n##\n"), ("9, 5, 4", "#########\n#####\n####\n")],
+    ids=["padded", "spaced"],
+)
+def test_blanks_around_numbers_parse(capsys, text, rows):
+    assert run_cli(capsys, "render", "--partition", text) == (0, rows, "")
+
+
 class TestFormatTable:
     @pytest.mark.parametrize(
         "argv",
@@ -604,3 +630,12 @@ class TestGlobalBehavior:
 
     def test_unknown_command_exit_1(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 1
+
+    def test_usage_error_reports_argparse_message(self, capsys):
+        # argparse exits 2 on a usage error; main alone maps that to 1
+        code, out, err = run_cli(capsys, "enumerate", "--s", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: stcores enumerate ")
+        assert err.endswith(
+            "stcores enumerate: error: the following arguments are required: --t\n"
+        )

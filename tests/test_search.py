@@ -269,14 +269,19 @@ class TestBetaSetPath:
             beta = tuple(sorted(to_beta(lam)))
             assert is_self_conjugate_beta(beta) == (conjugate(lam) == lam), lam
 
-    def test_odd_prune_matches_post_filter(self):
-        # the pruned walk yields exactly the odd-part ideals, in walk order
+    @pytest.mark.parametrize(
+        "part_filter,predicate",
+        [("distinct", has_distinct_parts), ("odd", has_odd_parts)],
+        ids=["distinct", "odd"],
+    )
+    def test_pruned_walk_matches_post_filter(self, part_filter, predicate):
+        # the pruned walk yields exactly the kept ideals of the unpruned one, in walk order
         for s in range(1, 18):
             for t in range(s + 1, 19 - s):
                 if gcd(s, t) == 1:
                     full = _ideals(s, t, "all")
-                    want = [beta for beta in full if has_odd_parts(_decode_ascending(beta))]
-                    assert list(_ideals(s, t, "odd")) == want, (s, t)
+                    want = [beta for beta in full if predicate(_decode_ascending(beta))]
+                    assert list(_ideals(s, t, part_filter)) == want, (s, t)
 
     @pytest.mark.parametrize(
         "s,t", [(s, t) for s in range(1, 13) for t in range(1, 13) if gcd(s, t) == 1]
