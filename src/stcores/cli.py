@@ -15,10 +15,12 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import stat
 import sys
+from itertools import chain
 from math import gcd
-from typing import Optional
+from typing import Callable, Optional
 
 from .bijection import inverse_lambda_d, inverse_lambda_o, lambda_d, lambda_o
 from .claims import CLAIMS, run_claim
@@ -53,16 +55,40 @@ INF_TEXT = "∞"
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse '3,2,1', '(3,2,1)' or '{3,2,1}' into a tuple of ints; blanks may not split a number."""
+    """Parse '3,2,1', '(3,2,1)' or '{3,2,1}' into a tuple of ints.
+
+    Each number is an optional sign and ASCII digits 0-9, with blanks
+    around it but not inside it: int() alone would also read '1_0' as 10
+    and non-ASCII digits such as '٣' as 3.
+    """
     stripped = text.strip()
     if stripped[:1] + stripped[-1:] in ("()", "{}", "[]"):
         stripped = stripped[1:-1].strip()
     if not stripped:
         return ()
-    try:
-        return tuple(int(tok) for tok in stripped.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse {text!r} as a comma-separated integer list") from None
+    tokens = [tok.strip() for tok in stripped.split(",")]
+    if not all(re.fullmatch("[+-]?[0-9]+", tok) for tok in tokens):
+        raise ValueError(f"cannot parse {text!r} as a comma-separated integer list")
+    return tuple(map(int, tokens))
+
+
+def _digit_table(int_lists) -> Optional[list[str]]:
+    """[str(0), ..., str(top)] when the lists hold exact ints in 0..top, else None.
+
+    A listing's renderers read each part from this table instead of calling
+    str once per part.  It is built per render call, so nothing outlives it.
+    Only exact ints may index it: a bool would read as 0 or 1 where JSON
+    writes true or false, and a negative int would read from the end.  top
+    stays below the number of items, so the table costs fewer str calls
+    than it saves, and a huge int cannot size it.
+    """
+    if set(map(type, chain.from_iterable(int_lists))) != {int}:
+        return None
+    values = set(chain.from_iterable(int_lists))
+    top = max(values)
+    if min(values) < 0 or top >= sum(map(len, int_lists)):
+        return None
+    return list(map(str, range(top + 1)))
 
 
 def _json_dump(obj, indent: str = "") -> str:
@@ -70,22 +96,37 @@ def _json_dump(obj, indent: str = "") -> str:
 
     With an indent, json.dumps runs CPython's pure-Python encoder, one small
     chunk per value.  Here a list of exact ints, such as a partition's
-    parts, is one join over map(str, ...); dicts and other lists recurse,
-    and every other leaf and every empty container goes through json.dumps.
+    parts, is one join over map(str, ...), and a list of such lists, such
+    as a listing, reads its ints from one `_digit_table`; dicts and other
+    lists recurse, and every other leaf and every empty container goes
+    through json.dumps.  Each container is one join whose first and last
+    pieces carry its brackets, so a long listing is copied once per level.
     """
     inner = indent + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict) and obj:
-        body = (
-            f"{json.dumps(key, ensure_ascii=False)}: {_json_dump(value, inner)}"
-            for key, value in sorted(obj.items())
-        )
-        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "}"
+        pieces = [f"{{\n{inner}"]
+        for key, value in sorted(obj.items()):
+            pieces += (json.dumps(key, ensure_ascii=False), ": ", _json_dump(value, inner), sep)
+        pieces[-1] = f"\n{indent}}}"
+        return "".join(pieces)
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) == {int}:
-            body = map(str, obj)
+        types = set(map(type, obj))
+        if types == {int}:
+            items = list(map(str, obj))
+        elif types <= {list, tuple} and (digits := _digit_table(obj)) is not None:
+            deeper = inner + "  "
+            deep_sep = ",\n" + deeper
+            items = [
+                f"[\n{deeper}{deep_sep.join(map(digits.__getitem__, ints))}\n{inner}]"
+                if ints else "[]"
+                for ints in obj
+            ]
         else:
-            body = (_json_dump(value, inner) for value in obj)
-        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + indent + "]"
+            items = [_json_dump(value, inner) for value in obj]
+        items[0] = f"[\n{inner}{items[0]}"
+        items[-1] += f"\n{indent}]"
+        return sep.join(items)
     return json.dumps(obj, ensure_ascii=False)
 
 
@@ -182,23 +223,32 @@ def _count_sizes_upto(bound: int) -> int:
     return sum(p)
 
 
+def _part_str(p: dict) -> Callable[[int], str]:
+    """str for the parts of an enumerate payload, read from its `_digit_table` when there is one."""
+    digits = _digit_table(p["witnesses"] + p["partitions"])
+    return str if digits is None else digits.__getitem__
+
+
 def _enumerate_text(p: dict) -> str:
     header = f"({p['s']},{p['t']})-core partitions, filter {p['filter']}"
     if "bound" in p:
         header += f" [partial: sizes <= {p['bound']} only]"
+    part_str = _part_str(p)
     return "\n".join([
         header,
         f"count: {p['count']}",
         f"max size: {p['max_size']}",
-        "max-size witnesses: " + " ".join(format_parts(w) for w in p["witnesses"]),
+        "max-size witnesses: "
+        + " ".join(f"({','.join(map(part_str, w))})" for w in p["witnesses"]),
         "partitions:",
-        *(f"  {format_parts(parts)}" for parts in p["partitions"]),
+        *(f"  ({','.join(map(part_str, parts))})" for parts in p["partitions"]),
     ])
 
 
 def _enumerate_csv(p: dict) -> str:
+    part_str = _part_str(p)
     return "\n".join(["size,parts"] + [
-        f"{sum(parts)},{' '.join(map(str, parts))}" for parts in p["partitions"]
+        f"{sum(parts)},{' '.join(map(part_str, parts))}" for parts in p["partitions"]
     ])
 
 

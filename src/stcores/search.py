@@ -52,13 +52,17 @@ Consumers that need no listing fold over the kept beta-sets instead of
 decoding them: `summarize_core` counts them and tracks the largest size,
 read on the beta-set as sum(beta) - C(len(beta), 2), keeping only the
 beta-sets of that size; just those witnesses are decoded and sorted.
-`enumerate_core` decodes and sorts every kept beta-set.  Both read the
-same walk, so the listing stays a second route to every count.
+`enumerate_core` decodes every kept beta-set, and `_canonical` puts them
+in canonical order: one bucket per size, each sorted once by its parts,
+the buckets taken by ascending size, so the largest ones are the
+listing's tail.  Both read the same walk, so the listing stays a second
+route to every count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
@@ -224,15 +228,19 @@ def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
 
 
 def _canonical(found: Iterable[Partition]) -> list[Partition]:
-    """The partitions in canonical_key order, by two stable sorts on C-level keys.
+    """The partitions in canonical_key order: bucketed by size, each bucket sorted once.
 
     Within one size no parts tuple is a proper prefix of another, since the
-    longer one would have the larger sum.  So descending parts order a size
-    exactly as ascending negated parts do, and the stable sort by size that
-    follows keeps that order inside each size.
+    longer one would have the larger sum.  So descending parts order a
+    bucket exactly as ascending negated parts do, and the buckets are
+    joined by ascending size.
     """
-    ordered = sorted(found, key=attrgetter("parts"), reverse=True)
-    ordered.sort(key=attrgetter("size"))
+    buckets: defaultdict[int, list[Partition]] = defaultdict(list)
+    for lam in found:
+        buckets[sum(lam.parts)].append(lam)
+    ordered: list[Partition] = []
+    for size in sorted(buckets):
+        ordered += sorted(buckets[size], key=attrgetter("parts"), reverse=True)
     return ordered
 
 

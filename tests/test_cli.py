@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -60,9 +61,33 @@ JSON_VALUES = st.recursive(
 @example([True, False])
 @example([1, None, 2.5, "x"])
 @example([[1, 2], [], [3]])
+@example([(1, True)])
+@example([(0, -3)])
+@example([(10**30, 2)])
+@example([(), (5, 4)])
+@example([(2, 1), 3, (1,), "x", None])
+@example([(), (2, 1), (1, 1, 0)])
+@example({"a": [(3, 1), (2, 2)], "b": [[0, 1, 0, 1], []]})
 def test_json_dump_matches_stdlib_encoder(value):
     want = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
     assert cli_mod._json_dump(value) == want
+
+
+@pytest.mark.parametrize(
+    "int_lists,table",
+    [
+        ([(), (2, 1), (1, 1, 0)], ["0", "1", "2"]),
+        ([(1, True), (1, 1)], None),
+        ([(0, -3), (0, 0)], None),
+        ([(10**30, 2)], None),
+        ([(2, 1)], None),  # top 2 is not below the 2 items
+        ([(1.0, 0), (0, 0)], None),
+        ([(), []], None),
+    ],
+    ids=["small", "bool", "negative", "huge", "top-not-below-count", "float", "no-items"],
+)
+def test_digit_table_holds_only_exact_small_nonnegative_ints(int_lists, table):
+    assert cli_mod._digit_table(int_lists) == table
 
 
 class TestEnumerate:
@@ -222,6 +247,64 @@ class TestEnumerate:
         assert out == ""
         payload = json.loads(target.read_text())
         assert payload["count"] == "5"
+
+
+# sha256 of the stdout of `enumerate` with these flags: every filter of the
+# (11, 12) family in every format, two --bound listings, one with a
+# non-coprime pair, and the distinct (10, 11) family with its two tied
+# witnesses.  The listing's order and bytes are fixed; a faster sort or
+# renderer must leave them unchanged.
+LISTING_SHA256 = {
+    "--s 11 --t 12 --filter all --format text":
+        "f15cfa490ea0f74299d6c222b0da6cba12c4f86bfd0264c5660aa4de5e04dbf6",
+    "--s 11 --t 12 --filter all --format json":
+        "c9f5d1e5f9bfdae380b7f48daabe6834adb1125a2db5151d78e52a727ae466bb",
+    "--s 11 --t 12 --filter all --format csv":
+        "5650adaf7a159fe2cb0ff2fd3c28745a0ea7ecde34cfe197cc8833584bbf3e06",
+    "--s 11 --t 12 --filter distinct --format text":
+        "45e0b368232428d9db373edc3041cfc9ea6984268adf1b193d1fcb4e0bd4e05c",
+    "--s 11 --t 12 --filter distinct --format json":
+        "59c5d0b7f20ca9816636efca4525bbaa3db927574c98bae5b371d69825fd4afe",
+    "--s 11 --t 12 --filter distinct --format csv":
+        "3d135ef892c45990ee3fe8430e0c4760639d2ca750fb389dbfd84836bdb77945",
+    "--s 11 --t 12 --filter odd --format text":
+        "a2c9648e607456caf9c77e44ac28faef73ef95f878fc1d0baaf3b0e8c2c90fa1",
+    "--s 11 --t 12 --filter odd --format json":
+        "ba25c8b02c62e68c6b3c58e02b00222aafdfff49d1529ff004dd755073a0c7e1",
+    "--s 11 --t 12 --filter odd --format csv":
+        "09a0d2431eaff3000e51594232ab0043d74d585752cb9e139d8643a4a30d0749",
+    "--s 11 --t 12 --filter self_conjugate --format text":
+        "b3448c45f536e8c8744b0a40e78fd980afd8d46a57e532aedf6335764a8129fa",
+    "--s 11 --t 12 --filter self_conjugate --format json":
+        "0b2639e30e22f5002d02649b85c6706f523bc39c56683dd4a2204991afc2e3cc",
+    "--s 11 --t 12 --filter self_conjugate --format csv":
+        "264d9ec934aa3a91e848a57a816cd256574fb0048a805034d3f4d89983bbb920",
+    "--s 2 --t 4 --bound 20 --format text":
+        "73d0c0e54830f606b6670900d7b3b7e65853e6804555b045157f81b3a262ee4a",
+    "--s 2 --t 4 --bound 20 --format json":
+        "ee35969b42d918c397820e5df108fe4804a5c15b2707f5c735e33caad5e7a973",
+    "--s 2 --t 4 --bound 20 --format csv":
+        "2fbbbffc4f36aaf543f19675123c32aef4885fa0acfbaca2c0b6b582950e3748",
+    "--s 3 --t 5 --bound 20 --format text":
+        "dcf36cfb4352643f8a83d9f1053a16a4c16e5bedc03d29a1e55b23fcab46061b",
+    "--s 3 --t 5 --bound 20 --format json":
+        "67cd661ab116e1827e26b494e4b636a3bf6b5d7d9b625937e7fb2aac8683cbe3",
+    "--s 3 --t 5 --bound 20 --format csv":
+        "6e8477ffb3c16d71b80a049ad727c44bc89c12f385b9143aa29083bbfb7507f2",
+    "--s 10 --t 11 --filter distinct --format text":
+        "c77f990484b0c79f2659bfc060cd1b6d307d9053f2040ad891a14263fe1c505c",
+    "--s 10 --t 11 --filter distinct --format json":
+        "871279b19e9ce4367926b0d334da101785340286775f1314179d882f023c233f",
+    "--s 10 --t 11 --filter distinct --format csv":
+        "3f8a6b6b64d7dd218c8b8082892bdacd629ba51ab6e938fbb2628974930e137a",
+}
+
+
+@pytest.mark.parametrize("flags", list(LISTING_SHA256))
+def test_listing_bytes_are_pinned(capsys, flags):
+    code, out, _ = run_cli(capsys, "enumerate", *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_SHA256[flags]
 
 
 class TestTable:
@@ -500,6 +583,24 @@ def test_huge_shape_refused_exit_1(capsys, argv):
 )
 def test_blank_inside_a_number_exit_1(capsys, argv):
     # a blank splits a number instead of being dropped: "3 2 1" is not 321
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "cannot parse" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "--partition", "1_0"),
+        ("render", "--partition", "\u0663"),
+        ("render", "--partition", "\uff13"),
+        ("bijection", "--distinct", "4,\u0663"),
+    ],
+    ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "bijection"],
+)
+def test_number_outside_ascii_digits_exit_1(capsys, argv):
+    # int() reads "1_0" as 10 and "\u0663" as 3; a number is a sign and 0-9 only
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -213,6 +213,20 @@ class TestEnumerateCore:
             counts.append(len(scan))
         assert counts == [1, 2, 2, 1, 0]
 
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_listing_in_canonical_key_order_for_every_small_pair(self, part_filter):
+        for s in range(1, 10):
+            for t in range(s, 10):
+                if gcd(s, t) != 1:
+                    continue
+                result = enumerate_core(s, t, part_filter)
+                listed = result.partitions
+                assert listed == tuple(sorted(listed, key=canonical_key)), (s, t)
+                sizes = [lam.size for lam in listed]
+                assert result.max_size == max(sizes, default=0)
+                tail = tuple(lam for lam in listed if lam.size == result.max_size)
+                assert result.max_size_witnesses == tail, (s, t)
+
     @given(st.lists(partitions(max_part=6, max_len=5)))
     def test_canonical_helper_matches_canonical_key_on_any_list(self, family):
         assert _canonical(family) == sorted(family, key=canonical_key)
