@@ -20,7 +20,7 @@ import stat
 import sys
 from itertools import chain
 from math import gcd
-from typing import Callable, Optional
+from typing import Optional
 
 from .bijection import inverse_lambda_d, inverse_lambda_o, lambda_d, lambda_o
 from .claims import CLAIMS, run_claim
@@ -54,41 +54,38 @@ INF_CSV = "inf"
 INF_TEXT = "∞"
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    """Parse '3,2,1', '(3,2,1)' or '{3,2,1}' into a tuple of ints.
+def _parse_int(text: str) -> int:
+    """Parse an integer flag or a number of `_parse_int_list`.
 
-    Each number is an optional sign and ASCII digits 0-9, with blanks
-    around it but not inside it: int() alone would also read '1_0' as 10
-    and non-ASCII digits such as '٣' as 3.
+    A number is an optional sign and ASCII digits 0-9, with blanks around it
+    but not inside it: int() alone would also read '1_0' as 10 and non-ASCII
+    digits such as '٣' as 3.
     """
+    if not re.fullmatch("[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"cannot parse {text!r} as an integer")
+    return int(text)
+
+
+_parse_int.__name__ = "integer"  # argparse names the type: "invalid integer value: '1_0'"
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    """Parse '3,2,1', '(3,2,1)', '[3,2,1]' or '{3,2,1}' into ints, each by `_parse_int`."""
     stripped = text.strip()
     if stripped[:1] + stripped[-1:] in ("()", "{}", "[]"):
         stripped = stripped[1:-1].strip()
-    if not stripped:
-        return ()
-    tokens = [tok.strip() for tok in stripped.split(",")]
-    if not all(re.fullmatch("[+-]?[0-9]+", tok) for tok in tokens):
-        raise ValueError(f"cannot parse {text!r} as a comma-separated integer list")
-    return tuple(map(int, tokens))
+    return tuple(map(_parse_int, stripped.split(","))) if stripped else ()
 
 
-def _digit_table(int_lists) -> Optional[list[str]]:
-    """[str(0), ..., str(top)] when the lists hold exact ints in 0..top, else None.
+class _StrCache(dict):
+    """str(n) for each n looked up, computed once; a listing's renderers read its parts through one.
 
-    A listing's renderers read each part from this table instead of calling
-    str once per part.  It is built per render call, so nothing outlives it.
-    Only exact ints may index it: a bool would read as 0 or 1 where JSON
-    writes true or false, and a negative int would read from the end.  top
-    stays below the number of items, so the table costs fewer str calls
-    than it saves, and a huge int cannot size it.
+    Equal keys share an entry, so only exact ints may be looked up: True would read as 1.
     """
-    if set(map(type, chain.from_iterable(int_lists))) != {int}:
-        return None
-    values = set(chain.from_iterable(int_lists))
-    top = max(values)
-    if min(values) < 0 or top >= sum(map(len, int_lists)):
-        return None
-    return list(map(str, range(top + 1)))
+
+    def __missing__(self, n) -> str:
+        text = self[n] = str(n)
+        return text
 
 
 def _json_dump(obj, indent: str = "") -> str:
@@ -97,7 +94,7 @@ def _json_dump(obj, indent: str = "") -> str:
     With an indent, json.dumps runs CPython's pure-Python encoder, one small
     chunk per value.  Here a list of exact ints, such as a partition's
     parts, is one join over map(str, ...), and a list of such lists, such
-    as a listing, reads its ints from one `_digit_table`; dicts and other
+    as a listing, reads its ints through one `_StrCache`; dicts and other
     lists recurse, and every other leaf and every empty container goes
     through json.dumps.  Each container is one join whose first and last
     pieces carry its brackets, so a long listing is copied once per level.
@@ -114,7 +111,8 @@ def _json_dump(obj, indent: str = "") -> str:
         types = set(map(type, obj))
         if types == {int}:
             items = list(map(str, obj))
-        elif types <= {list, tuple} and (digits := _digit_table(obj)) is not None:
+        elif types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= {int}:
+            digits = _StrCache()
             deeper = inner + "  "
             deep_sep = ",\n" + deeper
             items = [
@@ -131,14 +129,16 @@ def _json_dump(obj, indent: str = "") -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    """Write to stdout, or to the file `out` with symlinks followed.
+    """print text to stdout, or to the file `out` with symlinks followed.
 
-    A new or regular file (one link, our owner and group) is renamed into
-    place from a temp file with its mode, so a failed write keeps the old
-    bytes; other targets, such as /dev/null or a FIFO, are written in place.
+    print writes the newline after the text, so the text is never copied to
+    append it.  A new or regular file (one link, our owner and group) is
+    renamed into place from a temp file with its mode, so a failed write
+    keeps the old bytes; other targets, such as /dev/null or a FIFO, are
+    written in place.
     """
     if not out:
-        sys.stdout.write(text)
+        print(text)
         return
     old = os.stat(out) if os.path.exists(out) else None
     if old is not None and not (
@@ -146,7 +146,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         and (not hasattr(os, "geteuid") or (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid()))
     ):
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            print(text, file=fh)
         return
     target = os.path.realpath(out)
     head, name = os.path.split(target)
@@ -154,7 +154,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     fh = open(tmp, "x", encoding="utf-8")  # if this raises, tmp is not ours to remove
     try:
         with fh:
-            fh.write(text)
+            print(text, file=fh)
         if old is not None:
             os.chmod(tmp, stat.S_IMODE(old.st_mode))
         os.replace(tmp, target)
@@ -223,17 +223,11 @@ def _count_sizes_upto(bound: int) -> int:
     return sum(p)
 
 
-def _part_str(p: dict) -> Callable[[int], str]:
-    """str for the parts of an enumerate payload, read from its `_digit_table` when there is one."""
-    digits = _digit_table(p["witnesses"] + p["partitions"])
-    return str if digits is None else digits.__getitem__
-
-
 def _enumerate_text(p: dict) -> str:
     header = f"({p['s']},{p['t']})-core partitions, filter {p['filter']}"
     if "bound" in p:
         header += f" [partial: sizes <= {p['bound']} only]"
-    part_str = _part_str(p)
+    part_str = _StrCache().__getitem__
     return "\n".join([
         header,
         f"count: {p['count']}",
@@ -246,7 +240,7 @@ def _enumerate_text(p: dict) -> str:
 
 
 def _enumerate_csv(p: dict) -> str:
-    part_str = _part_str(p)
+    part_str = _StrCache().__getitem__
     return "\n".join(["size,parts"] + [
         f"{sum(parts)},{' '.join(map(part_str, parts))}" for parts in p["partitions"]
     ])
@@ -426,11 +420,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate", parents=[common],
         help="list all (s, t)-core partitions passing a filter",
     )
-    p_enum.add_argument("--s", type=int, required=True)
-    p_enum.add_argument("--t", type=int, required=True)
+    p_enum.add_argument("--s", type=_parse_int, required=True)
+    p_enum.add_argument("--t", type=_parse_int, required=True)
     p_enum.add_argument("--filter", dest="part_filter", choices=sorted(FILTERS), default="all")
     p_enum.add_argument(
-        "--bound", type=int, metavar="H",
+        "--bound", type=_parse_int, metavar="H",
         help="partial listing of sizes <= H (required for non-coprime pairs)",
     )
     p_enum.add_argument(
@@ -447,9 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "table", parents=[common],
         help="grid of (s, t)-core counts; infinite families marked",
     )
-    p_table.add_argument("--max", type=int, help="set both --max-s and --max-t")
-    p_table.add_argument("--max-s", type=int, default=TABLE_CAP)
-    p_table.add_argument("--max-t", type=int, default=TABLE_CAP)
+    p_table.add_argument("--max", type=_parse_int, help="set both --max-s and --max-t")
+    p_table.add_argument("--max-s", type=_parse_int, default=TABLE_CAP)
+    p_table.add_argument("--max-t", type=_parse_int, default=TABLE_CAP)
     p_table.add_argument("--filter", dest="part_filter", choices=sorted(FILTERS), default="all")
     p_table.add_argument(
         "--force", action="store_true",
@@ -470,7 +464,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="one of: " + ", ".join(sorted(CLAIMS)) + ", all",
     )
     for key in RANGE_KEYS:
-        p_verify.add_argument("--" + key.replace("_", "-"), type=int)
+        p_verify.add_argument("--" + key.replace("_", "-"), type=_parse_int)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_bij = sub.add_parser(
@@ -503,7 +497,7 @@ def main(argv=None) -> int:
             raise ValueError(
                 f"{args.format} format is not supported for {args.command}; use text or json"
             )
-        _emit(render(payload) + "\n", args.out)
+        _emit(render(payload), args.out)
     except InfiniteFamilyError as exc:
         message, code = f"{exc}; pass --bound H for a partial listing of sizes <= H", EXIT_INFINITE
     except ValueError as exc:

@@ -389,23 +389,22 @@ def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:
     The nesting is X_d inside X_(d-1) inside ... inside X_1.  Literal brute
     force over every tuple -- this is the oracle side of the recurrences in
     `sequences`, so it stays dumb on purpose.  With exclude_last, tuples
-    whose innermost set contains s - 1 are not counted.
+    whose innermost set contains s - 1 are not counted.  The tuples are
+    walked on an explicit stack, so no d reaches the recursion limit.
     """
     _require_int("s", s)
     _require_int("d", d)
     top = s - 1
-
-    def count_from(level: int, superset: tuple[int, ...]) -> int:
-        total = 0
+    total = 0
+    stack = [(1, tuple(range(1, s)))]  # (level, superset): X_level ranges over its subsets
+    while stack:
+        level, superset = stack.pop()
         for r in range(len(superset) + 1):
             for xs in combinations(superset, r):
                 if not is_twin_free(xs):
                     continue
-                if level == d:
-                    if not (exclude_last and top in xs):
-                        total += 1
-                else:
-                    total += count_from(level + 1, xs)
-        return total
-
-    return count_from(1, tuple(range(1, s)))
+                if level < d:
+                    stack.append((level + 1, xs))
+                elif not (exclude_last and top in xs):
+                    total += 1
+    return total

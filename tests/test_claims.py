@@ -53,6 +53,11 @@ def test_report_lists_every_mismatch():
     assert all(case.expected == case.got for case in report.cases)
 
 
+def test_fib_general_passes_at_depths_past_the_recursion_limit():
+    # d = 1100 nests more tuple levels than the default recursion limit of 1000 frames
+    assert run_claim("fib-general", max_d=1100, max_s=1).passed
+
+
 def test_unknown_claim_raises_key_error():
     with pytest.raises(KeyError):
         run_claim("not-a-claim")

@@ -68,26 +68,11 @@ JSON_VALUES = st.recursive(
 @example([(2, 1), 3, (1,), "x", None])
 @example([(), (2, 1), (1, 1, 0)])
 @example({"a": [(3, 1), (2, 2)], "b": [[0, 1, 0, 1], []]})
+@example([(1.0, 0), (0, 0)])
+@example([(), []])
 def test_json_dump_matches_stdlib_encoder(value):
     want = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
     assert cli_mod._json_dump(value) == want
-
-
-@pytest.mark.parametrize(
-    "int_lists,table",
-    [
-        ([(), (2, 1), (1, 1, 0)], ["0", "1", "2"]),
-        ([(1, True), (1, 1)], None),
-        ([(0, -3), (0, 0)], None),
-        ([(10**30, 2)], None),
-        ([(2, 1)], None),  # top 2 is not below the 2 items
-        ([(1.0, 0), (0, 0)], None),
-        ([(), []], None),
-    ],
-    ids=["small", "bool", "negative", "huge", "top-not-below-count", "float", "no-items"],
-)
-def test_digit_table_holds_only_exact_small_nonnegative_ints(int_lists, table):
-    assert cli_mod._digit_table(int_lists) == table
 
 
 class TestEnumerate:
@@ -608,9 +593,37 @@ def test_number_outside_ascii_digits_exit_1(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--s", "\u0663", "--t", "4"),
+        ("enumerate", "--s", "3", "--t", "1_0", "--filter", "distinct"),
+        ("enumerate", "--s", "2", "--t", "4", "--bound", "\uff15"),
+        ("table", "--max", "\uff13"),
+        ("table", "--max-s", "1_2"),
+        ("table", "--max-t", "\u0663"),
+        ("verify", "fib-distinct", "--max-s", "1_0"),
+        ("verify", "anderson", "--max-sum", "\u0663"),
+    ],
+    ids=["s", "t", "bound", "max", "max-s", "max-t", "verify-max-s", "verify-max-sum"],
+)
+def test_integer_flag_outside_ascii_digits_exit_1(capsys, argv):
+    # every integer flag reads the grammar of --partition, not all of int()'s
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "invalid integer value" in err
+
+
+def test_integer_flag_with_blanks_around_it_parses(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--s", " 3 ", "--t", "+4 ")
+    assert code == 0
+    assert out.startswith("(3,4)-core partitions, filter all\ncount: 5\n")
+
+
+@pytest.mark.parametrize(
     "text,rows",
-    [(" ( 3 , 2 ) ", "###\n##\n"), ("9, 5, 4", "#########\n#####\n####\n")],
-    ids=["padded", "spaced"],
+    [(" ( 3 , 2 ) ", "###\n##\n"), ("[3, 1]", "###\n#\n"), ("9, 5, 4", "#########\n#####\n####\n")],
+    ids=["padded", "bracketed", "spaced"],
 )
 def test_blanks_around_numbers_parse(capsys, text, rows):
     assert run_cli(capsys, "render", "--partition", text) == (0, rows, "")

@@ -476,6 +476,9 @@ class TestTwinFreeTuples:
             assert count_twin_free_tuples(2, d, exclude_last=False) == d + 1
             assert count_twin_free_tuples(2, d, exclude_last=True) == d
 
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        assert count_twin_free_tuples(1, 5000, True) == 1
+
     def test_pinned_value_s5_d2(self):
         # d(3d + 2) at d = 2
         assert count_twin_free_tuples(5, 2, exclude_last=True) == 16
