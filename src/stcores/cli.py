@@ -137,7 +137,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     keeps the old bytes; other targets, such as /dev/null or a FIFO, are
     written in place.
     """
-    if not out:
+    if out is None:
         print(text)
         return
     old = os.stat(out) if os.path.exists(out) else None
@@ -150,7 +150,8 @@ def _emit(text: str, out: Optional[str]) -> None:
         return
     target = os.path.realpath(out)
     head, name = os.path.split(target)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    # Random, not the pid: a killed run's leftover must not block a later process given its pid.
+    tmp = os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")  # if this raises, tmp is not ours to remove
     try:
         with fh:
@@ -491,6 +492,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: --help exits 0, a usage error 2
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if args.out == "":  # an unset "$OUT" would otherwise write to stdout
+            raise ValueError("--out needs a file name, not an empty string")
         payload = args.func(args)
         render = {"json": _json_dump, **RENDERERS[args.command]}.get(args.format)
         if render is None:

@@ -25,12 +25,10 @@ The roots, addable to the empty ideal, are 1..min(s, t) - 1.
 
 The walk builds each ideal by adding gaps in ascending order, so every
 ideal is reached once, from the ideal without its largest element.  A node
-extends only by its addable gaps above its last element: the candidates it
-inherited, plus x + s and x + t once both of their lower covers are
-present.  Those candidates form an antichain, so there are fewer than
-min(s, t) of them (each residue class mod s or mod t is a chain), and that
-bounds the work per ideal instead of the number of gaps.  The walk runs on
-an explicit stack, so its depth is not bounded by the recursion limit.
+extends only by its addable gaps above its last element x: those it
+inherited, then x + min(s, t) if addable (`_ideals` says why), at most
+one per residue class mod min(s, t).  That bounds the work per ideal; an
+explicit stack holds the frames, so no recursion limit bounds the depth.
 
 Every filter is decided inside the walk, so it yields only kept ideals
 and only those are decoded.  Each is one test on a popped candidate x;
@@ -61,7 +59,7 @@ route to every count.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -103,15 +101,18 @@ def gap_poset(s: int, t: int) -> tuple[int, ...]:
 
 
 def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
-    """The order ideals kept by the walk, each once, ascending.
+    """The order ideals kept by the walk, each once, ascending, in lexicographic order.
 
-    The module's rule: y is addable once y <= top and y - s, y - t are
-    chosen or below the floor; top = F and floor 0 for gaps, (F+1)//2 and 1
-    for the arm sets of `self_conjugate`.
-
-    Depth first: a frame holds a node's addable elements above its last
-    element, ascending, and is consumed from the front.  A filter is one
-    test on the popped candidate x; when it holds, x is skipped:
+    The module's rule, with top = F and floor 0 for gaps, (F+1)//2 and 1 for
+    the arm sets of `self_conjugate`, walked depth first, in pre-order.  A
+    frame holds a node's addable elements above its last element, ascending,
+    and is consumed from the front.  With a, b = sorted((s, t)), choosing x
+    unlocks at most x + a: x + b's other lower cover, x + b - a, lies above
+    x, so it is unchosen and above the floor.  An inherited c has c - a
+    chosen (below x) or below the floor (below 1 <= x), so c < x + a: the
+    append keeps the frame ascending, with at most one candidate per
+    residue class mod a.  A filter is one test on the popped candidate x;
+    when it holds, x is skipped:
 
         filter           skip x when                  what stays
         distinct         x - 1 is chosen              the twins x - 1, x
@@ -134,9 +135,10 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     twin_free = part_filter == "distinct"
     odd_parts = part_filter == "odd"
     partners = (s + 1, t + 1) if arm_sets else ()
+    a, b = sorted((s, t))
     chosen = bytearray(top + 1)
     ideal: list[int] = []
-    frames = [list(range(1, min(min(s, t) + floor, top + 1)))]  # y - min(s, t) < floor
+    frames = [list(range(1, min(a + floor, top + 1)))]  # y - a < floor
     yield ()
     while frames:
         candidates = frames[-1]
@@ -156,11 +158,9 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
         chosen[x] = 1
         yield tuple(ideal)
         rest = candidates[:]
-        # x is a lower cover of x + s and x + t only; their other covers are
-        # x + s - t and x + t - s.
-        for y, other in ((x + s, x + s - t), (x + t, x + t - s)):
-            if y <= top and (other < floor or chosen[other]):
-                insort(rest, y)
+        y = x + a
+        if y <= top and (y - b < floor or chosen[y - b]):
+            rest.append(y)
         frames.append(rest)
 
 

@@ -726,13 +726,35 @@ class TestOut:
         assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
 
     def test_leftover_temp_file_is_not_removed(self, capsys, tmp_path):
+        # a killed run's temp file, left under a pid that this process now has
         target = tmp_path / "result.txt"
         leftover = tmp_path / f".result.txt.{os.getpid()}.tmp"
+        leftover.write_text("not ours\n")
+        code, out, err = run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == "###\n#\n"
+        assert leftover.read_text() == "not ours\n"
+        assert sorted(tmp_path.iterdir()) == [leftover, target]
+
+    def test_colliding_temp_file_is_not_removed(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        target = tmp_path / "result.txt"
+        leftover = tmp_path / f".result.txt.{bytes(8).hex()}.tmp"
         leftover.write_text("not ours\n")
         code, out, err = run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))
         assert code == 1 and out == "" and "cannot write" in err
         assert leftover.read_text() == "not ours\n"
         assert not target.exists()
+
+    def test_empty_out_is_refused_before_any_work(self, capsys, monkeypatch):
+        # as from --out "$OUT" with OUT unset: not a request for stdout
+        def no_listing(*args):
+            raise AssertionError("listed before refusing --out")
+
+        monkeypatch.setattr(cli_mod, "enumerate_core", no_listing)
+        code, out, err = run_cli(capsys, "enumerate", "--s", "3", "--t", "5", "--out", "")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --out ") and "Traceback" not in err
 
 
 class TestGlobalBehavior:

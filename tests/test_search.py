@@ -274,9 +274,19 @@ class TestBetaSetPath:
         ],
     )
     def test_distinct_walk_matches_recursive_take_leave(self, s, t):
-        # the addability rule, with no gap list, against take/leave over the sieved gaps
+        # the addability rule, with no gap list, against take/leave over the sieved gaps;
+        # the walk's own order is already the sorted one
         want = sorted(tuple(sorted(ideal)) for ideal in down_closed_subsets_recursive(s, t, True))
-        assert sorted(_kept_betas(s, t, "distinct")) == want
+        assert list(_kept_betas(s, t, "distinct")) == want
+
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_walk_order_is_lexicographic(self, part_filter):
+        # pre-order over ascending frames: appending x + min(s, t) relies on it
+        for s in range(1, 13):
+            for t in range(1, 13):
+                if gcd(s, t) == 1:
+                    walked = list(_ideals(s, t, part_filter))
+                    assert walked == sorted(walked), (s, t)
 
     def test_self_conjugate_beta_predicate_exhaustive(self):
         for lam in brute_partitions_upto(14):
