@@ -18,7 +18,7 @@ import os
 import re
 import stat
 import sys
-from itertools import chain
+from functools import partial
 from math import gcd
 from typing import Optional
 
@@ -46,7 +46,8 @@ TABLE_CAP = 12
 ENUMERATE_CAP = 250_000
 # Largest `render` partition (cells) and `bijection --distinct/--odd`
 # partition (perimeter): each builds a list entry per cell or unit of
-# perimeter, and at 10^6 either takes about a second.
+# perimeter.  At 10^6 ones, render takes about 2 s as text and 3 s as json,
+# and bijection --odd about 3 s.
 SHAPE_CAP = 1_000_000
 # verify's range flags: every key some claim takes, in registry order.
 RANGE_KEYS = tuple(dict.fromkeys(k for c in CLAIMS.values() for k in c.defaults))
@@ -86,46 +87,6 @@ class _StrCache(dict):
     def __missing__(self, n) -> str:
         text = self[n] = str(n)
         return text
-
-
-def _json_dump(obj, indent: str = "") -> str:
-    """json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) for str-keyed payloads.
-
-    With an indent, json.dumps runs CPython's pure-Python encoder, one small
-    chunk per value.  Here a list of exact ints, such as a partition's
-    parts, is one join over map(str, ...), and a list of such lists, such
-    as a listing, reads its ints through one `_StrCache`; dicts and other
-    lists recurse, and every other leaf and every empty container goes
-    through json.dumps.  Each container is one join whose first and last
-    pieces carry its brackets, so a long listing is copied once per level.
-    """
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, dict) and obj:
-        pieces = [f"{{\n{inner}"]
-        for key, value in sorted(obj.items()):
-            pieces += (json.dumps(key, ensure_ascii=False), ": ", _json_dump(value, inner), sep)
-        pieces[-1] = f"\n{indent}}}"
-        return "".join(pieces)
-    if isinstance(obj, (list, tuple)) and obj:
-        types = set(map(type, obj))
-        if types == {int}:
-            items = list(map(str, obj))
-        elif types <= {list, tuple} and set(map(type, chain.from_iterable(obj))) <= {int}:
-            digits = _StrCache()
-            deeper = inner + "  "
-            deep_sep = ",\n" + deeper
-            items = [
-                f"[\n{deeper}{deep_sep.join(map(digits.__getitem__, ints))}\n{inner}]"
-                if ints else "[]"
-                for ints in obj
-            ]
-        else:
-            items = [_json_dump(value, inner) for value in obj]
-        items[0] = f"[\n{inner}{items[0]}"
-        items[-1] += f"\n{indent}]"
-        return sep.join(items)
-    return json.dumps(obj, ensure_ascii=False)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -247,11 +208,47 @@ def _enumerate_csv(p: dict) -> str:
     ])
 
 
+def _enumerate_json(p: dict) -> str:
+    """`_payload_json(p)` byte for byte, without the stdlib's pure-Python indenting encoder.
+
+    That encoder yields one small chunk per part; here each listing is one
+    `_listing_json` string, each other field a scalar, and the object one join.
+    """
+    pieces = ["{"]
+    for key, value in sorted(p.items()):
+        listing = key in ("partitions", "witnesses")
+        text = _listing_json(value) if listing else json.dumps(value, ensure_ascii=False)
+        pieces += (f'\n  "{key}": ', text, ",")
+    pieces[-1] = "\n}"
+    return "".join(pieces)
+
+
+# Its own function, not inlined above: its item strings, one per partition,
+# are freed when it returns, before the object's join copies the listing.
+# Inlined, the (11, 12) listing's max RSS rose by about 1 MiB.
+def _listing_json(listing: list) -> str:
+    """A nonempty list of int tuples at depth 1, as json.dumps(indent=2) writes it.
+
+    Each tuple's parts are read through one `_StrCache` and joined once; the
+    first and last items carry the list's brackets.
+    """
+    part_str = _StrCache().__getitem__
+    sep = ",\n      "
+    items = [f"[\n      {sep.join(map(part_str, parts))}\n    ]" if parts else "[]"
+             for parts in listing]
+    items[0] = "[\n    " + items[0]
+    items[-1] += "\n  ]"
+    return ",\n    ".join(items)
+
+
 # ------------------------------------------------------------------- table
 
 def _cmd_table(args) -> dict:
-    max_s = args.max if args.max is not None else args.max_s
-    max_t = args.max if args.max is not None else args.max_t
+    if args.max is not None and (args.max_s is not None or args.max_t is not None):
+        raise ValueError("--max sets both --max-s and --max-t, so it cannot be combined with them")
+    both = TABLE_CAP if args.max is None else args.max
+    max_s = both if args.max_s is None else args.max_s
+    max_t = both if args.max_t is None else args.max_t
     if max_s < 1 or max_t < 1:
         raise ValueError("table dimensions must be positive")
     if (max_s > TABLE_CAP or max_t > TABLE_CAP) and not args.force:
@@ -390,10 +387,11 @@ def _cmd_render(args) -> dict:
     return {"partition": lam.parts, "perimeter": perimeter(lam), "rows": rows}
 
 
-# Text and csv renderers per command; json is _json_dump for every command.
-# A missing entry is a usage error.
+# Renderers per command; a missing entry is a usage error.  json is the
+# stdlib's encoder unless the command names its own.
+_payload_json = partial(json.dumps, indent=2, sort_keys=True, ensure_ascii=False)
 RENDERERS = {
-    "enumerate": {"text": _enumerate_text, "csv": _enumerate_csv},
+    "enumerate": {"text": _enumerate_text, "csv": _enumerate_csv, "json": _enumerate_json},
     "table": {"text": _table_text, "csv": lambda p: _render_table(p)},
     "verify": {"text": _verify_text, "csv": _verify_csv},
     "bijection": {"text": _bijection_text},
@@ -443,8 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="grid of (s, t)-core counts; infinite families marked",
     )
     p_table.add_argument("--max", type=_parse_int, help="set both --max-s and --max-t")
-    p_table.add_argument("--max-s", type=_parse_int, default=TABLE_CAP)
-    p_table.add_argument("--max-t", type=_parse_int, default=TABLE_CAP)
+    p_table.add_argument("--max-s", type=_parse_int)
+    p_table.add_argument("--max-t", type=_parse_int)
     p_table.add_argument("--filter", dest="part_filter", choices=sorted(FILTERS), default="all")
     p_table.add_argument(
         "--force", action="store_true",
@@ -495,7 +493,7 @@ def main(argv=None) -> int:
         if args.out == "":  # an unset "$OUT" would otherwise write to stdout
             raise ValueError("--out needs a file name, not an empty string")
         payload = args.func(args)
-        render = {"json": _json_dump, **RENDERERS[args.command]}.get(args.format)
+        render = {"json": _payload_json, **RENDERERS[args.command]}.get(args.format)
         if render is None:
             raise ValueError(
                 f"{args.format} format is not supported for {args.command}; use text or json"

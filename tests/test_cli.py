@@ -30,49 +30,49 @@ def reload_json(out: str):
     return payload, redump
 
 
-JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**60), max_value=10**60),
-    st.floats(),
-    st.text(),
+PARTS = st.lists(
+    st.one_of(st.integers(), st.integers(min_value=-(10**60), max_value=10**60)), max_size=4,
+).map(tuple)
+ENUMERATE_PAYLOADS = st.fixed_dictionaries(
+    {
+        "s": st.integers(), "t": st.integers(), "filter": st.text(), "count": st.text(),
+        "max_size": st.integers(),
+        "witnesses": st.lists(PARTS, min_size=1, max_size=4),
+        "partitions": st.lists(PARTS, min_size=1, max_size=8),
+    },
+    optional={"partial": st.booleans(), "bound": st.integers()},
 )
-INT_LISTS = st.lists(st.integers(), max_size=4)
-JSON_VALUES = st.recursive(
-    st.one_of(JSON_LEAVES, INT_LISTS, INT_LISTS.map(tuple)),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(), children, max_size=4),
-    ),
-    max_leaves=20,
-)
+ENUMERATE_EXAMPLE = {
+    "s": 5, "t": 7, "filter": "é ✓", "count": "16", "max_size": 21,
+    "witnesses": [(9, 5, 4, 2, 1)], "partitions": [(), (1,), (9, 5, 4, 2, 1)],
+}
 
 
-@given(JSON_VALUES)
-@example([])
-@example({})
-@example(())
-@example({"": [], "é ✓": {}, "a": [()]})
-@example([7])
-@example((-(10**30),))
-@example([1, True, 2])
-@example([True, False])
-@example([1, None, 2.5, "x"])
-@example([[1, 2], [], [3]])
-@example([(1, True)])
-@example([(0, -3)])
-@example([(10**30, 2)])
-@example([(), (5, 4)])
-@example([(2, 1), 3, (1,), "x", None])
-@example([(), (2, 1), (1, 1, 0)])
-@example({"a": [(3, 1), (2, 2)], "b": [[0, 1, 0, 1], []]})
-@example([(1.0, 0), (0, 0)])
-@example([(), []])
-def test_json_dump_matches_stdlib_encoder(value):
-    want = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
-    assert cli_mod._json_dump(value) == want
+@given(ENUMERATE_PAYLOADS)
+@example(ENUMERATE_EXAMPLE)
+@example({**ENUMERATE_EXAMPLE, "partial": True, "bound": 20})
+@example({**ENUMERATE_EXAMPLE, "witnesses": [()], "partitions": [()]})
+@example({**ENUMERATE_EXAMPLE, "partitions": [(0, -3), (10**30, 2), (), (2, 2)]})
+def test_enumerate_json_matches_stdlib_encoder(payload):
+    want = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
+    assert cli_mod._enumerate_json(payload) == want
+
+
+def test_enumerate_json_skips_the_stdlib_indenting_encoder(capsys, monkeypatch):
+    runs = [
+        ("enumerate", "--s", "5", "--t", "7", "--format", "json"),
+        ("enumerate", "--s", "2", "--t", "4", "--bound", "8", "--format", "json"),
+    ]
+    before = [run_cli(capsys, *argv) for argv in runs]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the stdlib's pure-Python indenting encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [run_cli(capsys, *argv) for argv in runs] == before
+    assert [code for code, _, _ in before] == [0, 0]
+    with pytest.raises(RuntimeError, match="indenting encoder"):
+        main(["table", "--max", "3", "--format", "json"])
 
 
 class TestEnumerate:
@@ -343,6 +343,20 @@ class TestTable:
         )
         assert code == 0
         assert len(out.splitlines()) == 14
+
+    @pytest.mark.parametrize(
+        "extra", [("--max-s", "5"), ("--max-t", "7"), ("--max-s", "5", "--max-t", "7")],
+    )
+    def test_max_with_max_s_or_max_t_exit_1(self, capsys, extra):
+        code, out, err = run_cli(capsys, "table", "--max", "2", *extra)
+        assert code == 1
+        assert out == ""
+        assert "--max-s" in err and "--max-t" in err
+
+    def test_max_s_alone_keeps_the_default_columns(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--max-s", "2", "--format", "csv")
+        assert code == 0
+        assert [len(row.split(",")) for row in out.splitlines()] == [13, 13, 13]
 
     def test_json_cells(self, capsys):
         code, out, _ = run_cli(
