@@ -37,18 +37,6 @@ def from_beta(beta: Iterable[int]) -> Partition:
     return Partition(tuple(h - (ell - i) for i, h in enumerate(hooks, start=1)))
 
 
-def _decode_ascending(beta: tuple[int, ...]) -> Partition:
-    """from_beta for an ascending tuple of distinct positive integers, unchecked.
-
-    Element beta[j] is the first-column hook of the row with j rows below
-    it, so that row's part is beta[j] - j.  Distinct positive integers in
-    ascending order have beta[j] >= j + 1 and beta[j+1] - (j+1) >= beta[j] - j,
-    so every part is positive and the parts, read from the top row down,
-    weakly decrease: the checks Partition would make cannot fail.
-    """
-    return Partition._trusted(tuple([beta[j] - j for j in range(len(beta) - 1, -1, -1)]))
-
-
 def is_t_core_beta(beta: BetaSet, t: int) -> bool:
     """Whether the partition encoded by beta has no hook of length t.
 

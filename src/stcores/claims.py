@@ -275,6 +275,8 @@ def _guarded_cases(claim: Claim, params: dict) -> list[ClaimCase]:
     """The claim's cases for params; a builder that raises yields one FAIL case."""
     try:
         return claim.cases(params)
+    except MemoryError:  # running out of memory refutes nothing
+        raise
     except Exception as exc:  # a broken formula or enumerator fails the claim, not the run
         return [ClaimCase(params, "no exception", type(exc).__name__, False)]
 
@@ -283,7 +285,7 @@ def run_claim(name: str, **ranges: int) -> VerificationReport:
     """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError.
 
     A range value other than None must be an exact int, not a bool.  A case
-    builder that raises does not end the run: it becomes a FAIL case.
+    builder that raises, short of MemoryError, becomes a FAIL case.
     """
     claim = CLAIMS[name]
     merged = dict(claim.defaults)

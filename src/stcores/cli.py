@@ -505,6 +505,8 @@ def main(argv=None) -> int:
         message, code = str(exc), EXIT_USAGE
     except OSError as exc:
         message, code = f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}", EXIT_USAGE
+    except MemoryError:
+        message, code = "out of memory; try a smaller range or family", EXIT_USAGE
     else:
         return EXIT_VERIFY_FAILED if payload.get("pass") is False else EXIT_OK
     print(f"error: {message}", file=sys.stderr)

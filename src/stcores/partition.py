@@ -41,10 +41,10 @@ class Partition:
         Only for callers that already guarantee a weakly decreasing tuple
         of positive ints.  They are:
 
-        * `betaset._decode_ascending` (used by `search.enumerate_core` and
-          `search.summarize_core`): the walk and `search._arms_to_beta`
-          give ascending distinct positive ints, so each part beta[j] - j
-          is positive and the parts weakly decrease from the top row down.
+        * `search.enumerate_core` and `search.summarize_core`: `search._ideals`
+          puts a new top row x - ell, positive and no shorter than the old
+          one, on each partition; `search._arms_to_parts` turns such a mu
+          into the rows mu_i + d - 1, then mu's columns past its first.
         * `search._level` (the perimeter enumerators): for distinct parts,
           a largest part then a strictly decreasing combination of smaller
           positive parts; for odd parts, an odd largest part then a weakly

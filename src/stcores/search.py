@@ -29,29 +29,31 @@ extends only by its addable gaps above its last element x: those it
 inherited, then x + min(s, t) if addable (`_ideals` says why), at most
 one per residue class mod min(s, t).  That bounds the work per ideal; an
 explicit stack holds the frames, so no recursion limit bounds the depth.
+It yields partitions, not hook sets: adding x to an ideal of ell elements
+puts a new top row x - ell on the partition built so far, positive and no
+shorter than the old top row, as x is above ell and every chosen element.
 
-Every filter is decided inside the walk, so it yields only kept ideals
-and only those are decoded.  Each is one test on a popped candidate x;
-when it holds, the walk skips x and every ideal built on it.  The tests,
-tabled in `_ideals`: x - 1 chosen for `distinct` (two consecutive
-first-column hooks are two equal parts), x landing on an even part
-beta[j] - j for `odd`, and a chosen partner for `self_conjugate`.  That
-filter walks X = {lam_i - i + 1 : lam_i >= i}, the Frobenius arms plus one
-(Ford, Mai & Sze 2009): lam is an (s, t)-core exactly when X is closed
-under subtracting s and t while positive and no x, x' in X (x = x'
-included) have x + x' in {s + 1, t + 1}; such x, x' are partners.  X lies
-in 1..(F+1)//2, since 2*max(X) - 1 is the (1, 1) hook, a gap.  So the same rule walks the arm
+Every filter is decided inside the walk, so it yields only kept ideals.
+Each is one test on a popped candidate x; when it holds, the walk skips
+x and every ideal built on it.  The tests, tabled in `_ideals`: x - 1
+chosen for `distinct` (two consecutive first-column hooks are two equal
+parts), an even new row for `odd`, and a chosen partner for
+`self_conjugate`.  That filter walks X = {lam_i - i + 1 : lam_i >= i},
+the Frobenius arms plus one (Ford, Mai & Sze 2009): lam is an
+(s, t)-core exactly when X is closed under subtracting s and t while
+positive and no x, x' in X (x = x' included) have x + x' in
+{s + 1, t + 1}; such x, x' are partners.  X lies in 1..(F+1)//2, since
+2*max(X) - 1 is the (1, 1) hook, a gap.  So the same rule walks the arm
 sets with top = (F+1)//2 and the floor 1, the closure holding only while
-positive, from the roots 1..min(s, t, top); then `_arms_to_beta` turns X
-into the beta-set.  The partition-level predicates in FILTERS stay as the
-oracle for the bounded enumerator and the tests.
+positive, from the roots 1..min(s, t, top); it yields the partition mu
+whose beta-set is X, and `_arms_to_parts` turns mu into lam.  The
+partition-level predicates in FILTERS stay as the oracle for the bounded
+enumerator and the tests.
 
-Consumers that need no listing fold over the kept beta-sets instead of
-decoding them: `summarize_core` counts them and tracks the largest size,
-read on the beta-set as sum(beta) - C(len(beta), 2), keeping only the
-beta-sets of that size; just those witnesses are decoded and sorted.
-`enumerate_core` decodes every kept beta-set, and `_canonical` puts them
-in canonical order: one bucket per size, each sorted once by its parts,
+`summarize_core` folds over the kept parts tuples: it counts them and
+keeps only those of the largest sum, its witnesses.  `enumerate_core`
+wraps every kept tuple unchecked, and `_canonical` puts them in
+canonical order: one bucket per size, each sorted once by its parts,
 the buckets taken by ascending size, so the largest ones are the
 listing's tail.  Both read the same walk, so the listing stays a second
 route to every count.
@@ -66,7 +68,7 @@ from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .betaset import _decode_ascending, is_twin_free
+from .betaset import is_twin_free
 from .partition import (
     Partition,
     conjugate,
@@ -101,7 +103,7 @@ def gap_poset(s: int, t: int) -> tuple[int, ...]:
 
 
 def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
-    """The order ideals kept by the walk, each once, ascending, in lexicographic order.
+    """Each order ideal the walk keeps, once, in lexicographic order, as its partition's parts.
 
     The module's rule, with top = F and floor 0 for gaps, (F+1)//2 and 1 for
     the arm sets of `self_conjugate`, walked depth first, in pre-order.  A
@@ -116,15 +118,15 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
 
         filter           skip x when                  what stays
         distinct         x - 1 is chosen              the twins x - 1, x
-        odd              x - len(ideal) is even       that even part
+        odd              x - len(below) is even       that even part
         self_conjugate   p - x is x or chosen,        x and its partner
                          for p in (s + 1, t + 1)
 
     Every candidate lies above the last element, so x - 1 can only be that
-    element, x lands at index len(ideal), and a partner below x is chosen
+    element, x's row is the new top row, and a partner below x is chosen
     already.  The one invariant: a skip drops exactly the ideals that
     extend the current ideal plus x by larger elements, and its reason
-    holds in all of them, since a larger element moves neither x's index
+    holds in all of them, since a larger element moves neither x's row
     nor anything below x.  A skipped x is not inherited by later siblings,
     which lie above it; the children of smaller candidates still inherit it
     and test it afresh.  Every other filter name walks every ideal.
@@ -137,26 +139,30 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     partners = (s + 1, t + 1) if arm_sets else ()
     a, b = sorted((s, t))
     chosen = bytearray(top + 1)
-    ideal: list[int] = []
+    shapes: list[tuple[int, ...]] = [()]
     frames = [list(range(1, min(a + floor, top + 1)))]  # y - a < floor
     yield ()
     while frames:
         candidates = frames[-1]
         if not candidates:
             frames.pop()
-            if ideal:
-                chosen[ideal.pop()] = 0
+            parts = shapes.pop()
+            if parts:
+                chosen[parts[0] + len(parts) - 1] = 0
             continue
         x = candidates.pop(0)
         if twin_free and chosen[x - 1]:
             continue
-        if odd_parts and not (x - len(ideal)) & 1:
+        below = shapes[-1]
+        part = x - len(below)
+        if odd_parts and not part & 1:
             continue
         if partners and any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in partners):
             continue
-        ideal.append(x)
+        parts = (part,) + below
+        shapes.append(parts)
         chosen[x] = 1
-        yield tuple(ideal)
+        yield parts
         rest = candidates[:]
         y = x + a
         if y <= top and (y - b < floor or chosen[y - b]):
@@ -192,21 +198,24 @@ def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
     return None
 
 
-def _arms_to_beta(arms: tuple[int, ...]) -> tuple[int, ...]:
-    """The ascending beta-set of the self-conjugate partition whose arms + 1 are `arms`.
+def _arms_to_parts(mu: tuple[int, ...]) -> tuple[int, ...]:
+    """The parts of the self-conjugate partition whose arms + 1 are the beta-set of mu.
 
-    With ell = max(arms), its number of parts, the rows on the diagonal
-    have the first-column hooks x + ell - 1 for x in arms, and the rows
-    below it have the hooks k < ell with ell - k not in arms.
+    With d = len(mu), the Durfee size, the diagonal rows are mu_i + d - 1,
+    the i-th largest arm plus i.  Row d + k below them has as many cells as
+    column k + 1 of mu, so the columns past mu_(i+1) up to mu_i give rows of i.
     """
-    ell = arms[-1] if arms else 0
-    present = set(arms)
-    below = [k for k in range(1, ell) if ell - k not in present]
-    return tuple(below + [x + ell - 1 for x in arms])
+    d = len(mu)
+    rows = [p + d - 1 for p in mu]
+    width = 1
+    for i in range(d, 0, -1):
+        rows += [i] * (mu[i - 1] - width)
+        width = mu[i - 1]
+    return tuple(rows)
 
 
-def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
-    """The ascending beta-sets of the (s, t)-cores passing the filter, one pass.
+def _kept_parts(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
+    """The parts of the (s, t)-cores passing the filter, in walk order, one pass.
 
     Checks the filter and the pair before returning, not on first use.
     Every filter is decided by the walk; `self_conjugate` walks arm sets.
@@ -214,7 +223,7 @@ def _kept_betas(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     _predicate(part_filter)  # rejects unknown filters
     _require_walkable(s, t)
     ideals = _ideals(s, t, part_filter)
-    return map(_arms_to_beta, ideals) if part_filter == "self_conjugate" else ideals
+    return map(_arms_to_parts, ideals) if part_filter == "self_conjugate" else ideals
 
 
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
@@ -270,10 +279,9 @@ def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResul
     Requires gcd(s, t) = 1, otherwise the family is infinite and
     InfiniteFamilyError is raised, and at most GAP_LIMIT gaps, otherwise
     ValueError.  Filters: all, distinct, odd, self_conjugate, each decided
-    inside the walk, so only kept beta-sets are decoded.
+    inside the walk, which yields the parts of the kept cores only.
     """
-    found = [_decode_ascending(beta) for beta in _kept_betas(s, t, part_filter)]
-    return _result(s, t, part_filter, found)
+    return _result(s, t, part_filter, list(map(Partition._trusted, _kept_parts(s, t, part_filter))))
 
 
 @dataclass(frozen=True)
@@ -291,23 +299,22 @@ class CoreSummary:
 def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
     """enumerate_core's count, max_size and max_size_witnesses, by one fold.
 
-    Same arguments and errors as enumerate_core.  Each kept beta-set is
-    counted and sized as sum(beta) - C(len(beta), 2), the sum of its parts
-    beta[j] - j; only the largest ones are kept, then decoded and sorted.
+    Same arguments and errors as enumerate_core.  Each kept core is
+    counted and sized as the sum of its parts; only the parts of the
+    largest ones are kept, then sorted.
     """
     count = 0
     max_size = -1
     witnesses: list[tuple[int, ...]] = []
-    for beta in _kept_betas(s, t, part_filter):
+    for parts in _kept_parts(s, t, part_filter):
         count += 1
-        ell = len(beta)
-        size = sum(beta) - ell * (ell - 1) // 2
+        size = sum(parts)
         if size > max_size:
             max_size = size
-            witnesses = [beta]
+            witnesses = [parts]
         elif size == max_size:
-            witnesses.append(beta)
-    top = _canonical(map(_decode_ascending, witnesses))
+            witnesses.append(parts)
+    top = _canonical(map(Partition._trusted, witnesses))
     return CoreSummary(s, t, part_filter, count, max_size, tuple(top))
 
 

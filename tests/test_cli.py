@@ -455,6 +455,16 @@ class TestVerify:
         assert "got ArithmeticError" in out and "FAIL" in out
         assert err == ""
 
+    def test_out_of_memory_is_an_error_not_a_fail(self, capsys, monkeypatch):
+        def exhausted(m):
+            raise MemoryError
+
+        monkeypatch.setattr(search_mod, "enumerate_distinct_by_perimeter", exhausted)
+        code, out, err = run_cli(capsys, "verify", "distinct-odd", "--max-m", "3")
+        assert code == 1
+        assert "FAIL" not in out
+        assert err.startswith("error: out of memory")
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "fib-distinct", "--max-s", "5", "--format", "csv",

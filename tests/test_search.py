@@ -19,6 +19,7 @@ from stcores import (
     enumerate_odd_by_perimeter,
     fibonacci,
     fms_selfconjugate_count,
+    from_beta,
     gap_poset,
     has_distinct_parts,
     has_odd_parts,
@@ -29,14 +30,14 @@ from stcores import (
     to_beta,
 )
 from stcores import search
-from stcores.betaset import _decode_ascending
 from stcores.partition import conjugate
 from stcores.search import (
     FILTERS,
     CoreSummary,
+    _arms_to_parts,
     _canonical,
     _ideals,
-    _kept_betas,
+    _kept_parts,
     _result,
     canonical_key,
     summarize_core,
@@ -277,7 +278,7 @@ class TestBetaSetPath:
         # the addability rule, with no gap list, against take/leave over the sieved gaps;
         # the walk's own order is already the sorted one
         want = sorted(tuple(sorted(ideal)) for ideal in down_closed_subsets_recursive(s, t, True))
-        assert list(_kept_betas(s, t, "distinct")) == want
+        assert _betas(_kept_parts(s, t, "distinct")) == want
 
     @pytest.mark.parametrize("part_filter", sorted(FILTERS))
     def test_walk_order_is_lexicographic(self, part_filter):
@@ -285,7 +286,7 @@ class TestBetaSetPath:
         for s in range(1, 13):
             for t in range(1, 13):
                 if gcd(s, t) == 1:
-                    walked = list(_ideals(s, t, part_filter))
+                    walked = _betas(_ideals(s, t, part_filter))
                     assert walked == sorted(walked), (s, t)
 
     def test_self_conjugate_beta_predicate_exhaustive(self):
@@ -303,28 +304,41 @@ class TestBetaSetPath:
         for s in range(1, 18):
             for t in range(s + 1, 19 - s):
                 if gcd(s, t) == 1:
-                    full = _ideals(s, t, "all")
-                    want = [beta for beta in full if predicate(_decode_ascending(beta))]
-                    assert list(_ideals(s, t, part_filter)) == want, (s, t)
+                    full = _betas(_ideals(s, t, "all"))
+                    want = [beta for beta in full if predicate(from_beta(beta))]
+                    assert _betas(_ideals(s, t, part_filter)) == want, (s, t)
 
     @pytest.mark.parametrize(
         "s,t", [(s, t) for s in range(1, 13) for t in range(1, 13) if gcd(s, t) == 1]
     )
     def test_self_conjugate_walk_matches_post_filter(self, s, t):
         # the arm-set walk against the unpruned gap walk plus the beta-set predicate
-        kept = [beta for beta in _ideals(s, t, "all") if is_self_conjugate_beta(beta)]
-        want = _result(s, t, "self_conjugate", [_decode_ascending(beta) for beta in kept])
+        kept = [beta for beta in _betas(_ideals(s, t, "all")) if is_self_conjugate_beta(beta)]
+        want = _result(s, t, "self_conjugate", [from_beta(beta) for beta in kept])
         assert enumerate_core(s, t, "self_conjugate") == want
         assert _summary_of(summarize_core(s, t, "self_conjugate")) == _summary_of(want)
         # every walked arm set is kept
         walked = sum(1 for _ in _ideals(s, t, "self_conjugate"))
         assert walked == len(kept) == fms_selfconjugate_count(s, t)
 
-    def test_unchecked_decode_exhaustive(self):
-        for lam in brute_partitions_upto(14):
-            decoded = _decode_ascending(tuple(sorted(to_beta(lam))))
-            assert decoded == lam
-            assert Partition(decoded.parts) == decoded  # would pass the skipped checks
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_walk_yields_checked_partitions(self, part_filter):
+        # enumerate_core and summarize_core skip Partition's checks on these tuples;
+        # _kept_parts differs from the walk only for self_conjugate
+        walks = (_ideals, _kept_parts) if part_filter == "self_conjugate" else (_ideals,)
+        for s in range(1, 13):
+            for t in range(1, 13):
+                if gcd(s, t) == 1:
+                    for walk in walks:
+                        for parts in walk(s, t, part_filter):
+                            assert type(parts) is tuple and Partition(parts).parts == parts
+
+    def test_arms_to_parts_exhaustive(self):
+        for lam in brute_partitions_upto(24):
+            if conjugate(lam) != lam:
+                continue
+            arms = [part - i + 1 for i, part in enumerate(lam.parts, start=1) if part >= i]
+            assert _arms_to_parts(from_beta(arms).parts) == lam.parts, lam
 
     def test_recursion_limit_untouched(self):
         limit = sys.getrecursionlimit()
@@ -333,6 +347,11 @@ class TestBetaSetPath:
         assert enumerate_core(2, 2501).count == 1251
         assert sys.getrecursionlimit() == limit
         assert not hasattr(search, "sys")
+
+
+def _betas(walk) -> list[tuple[int, ...]]:
+    """The ascending beta-sets of the walked parts tuples, each checked by Partition."""
+    return [tuple(sorted(to_beta(Partition(parts)))) for parts in walk]
 
 
 def _summary_of(result) -> tuple:
