@@ -3,8 +3,9 @@
 A claim produces one case per checked identity; a report collects the
 cases, an overall verdict, and the wall-clock time.  The enumeration side
 is always an exhaustive search from `search` (the summary fold where only
-counts, max sizes and witnesses are compared); the expected side is a
-formula, so corrupting either one makes the claim fail loudly.  A claim's
+counts, max sizes and witnesses are compared; the unsorted perimeter shapes
+where only their number is); the expected side is a formula, so
+corrupting either one makes the claim fail loudly.  A claim's
 scope returns its range text and its case params together, and the claims
 that compare the fold's count of one family with a closed form share one
 case builder, `_count_cases`.
@@ -107,11 +108,8 @@ def _count_cases(
 def _distinct_odd_cases(p: dict) -> list[ClaimCase]:
     m = p["m"]
     want = sequences.fibonacci(m)
-    families = {
-        "distinct": search.enumerate_distinct_by_perimeter,
-        "odd": search.enumerate_odd_by_perimeter,
-    }
-    return [_case({"m": m, "family": f}, want, len(family(m))) for f, family in families.items()]
+    shapes = {"distinct": search._distinct_shapes(m), "odd": search._odd_shapes(m)}
+    return [_case({"m": m, "family": f}, want, sum(1 for _ in it)) for f, it in shapes.items()]
 
 
 def _fib_general_cases(p: dict) -> list[ClaimCase]:

@@ -41,14 +41,15 @@ class Partition:
         Only for callers that already guarantee a weakly decreasing tuple
         of positive ints.  They are:
 
-        * `search.enumerate_core` and `search.summarize_core`: `search._ideals`
-          puts a new top row x - ell, positive and no shorter than the old
-          one, on each partition; `search._arms_to_parts` turns such a mu
-          into the rows mu_i + d - 1, then mu's columns past its first.
-        * `search._level` (the perimeter enumerators): for distinct parts,
-          a largest part then a strictly decreasing combination of smaller
-          positive parts; for odd parts, an odd largest part then a weakly
-          decreasing multiset of odd parts no larger than it.
+        * `search._canonical`, which sorts and wraps parts tuples: the
+          walk's, as `search._ideals` puts a new top row x - ell, positive
+          and no shorter than the old one, on each partition, and
+          `search._arms_to_parts` turns such a mu into the rows
+          mu_i + d - 1, then mu's columns past its first; the perimeter
+          shapes, a largest part then a strictly decreasing combination of
+          smaller positive parts (`_distinct_shapes`) or an odd largest
+          part then a weakly decreasing multiset of odd parts no larger
+          than it (`_odd_shapes`); and `enumerate_core_bounded`'s checked ones.
         * `bijection._build_d` / `_build_o` (lambda_d, lambda_o and the
           composed maps): from [1], a step only grows the largest part or
           appends a part at least as large, and the list is then reversed.

@@ -52,11 +52,11 @@ enumerator and the tests.
 
 `summarize_core` folds over the kept parts tuples: it counts them and
 keeps only those of the largest sum, its witnesses.  `enumerate_core`
-wraps every kept tuple unchecked, and `_canonical` puts them in
-canonical order: one bucket per size, each sorted once by its parts,
-the buckets taken by ascending size, so the largest ones are the
-listing's tail.  Both read the same walk, so the listing stays a second
-route to every count.
+hands every kept tuple to `_canonical`, the one place that wraps tuples
+as partitions: one bucket per size, each sorted once as plain tuples and
+wrapped unchecked, the buckets taken by ascending size, so the largest
+ones are the listing's tail.  Both read the same walk, so the listing
+stays a second route to every count.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .betaset import is_twin_free
@@ -236,20 +235,20 @@ def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
     return (sum(parts), tuple([-p for p in parts]))
 
 
-def _canonical(found: Iterable[Partition]) -> list[Partition]:
-    """The partitions in canonical_key order: bucketed by size, each bucket sorted once.
+def _canonical(found: Iterable[tuple[int, ...]]) -> list[Partition]:
+    """The parts tuples as partitions in canonical_key order: bucketed by size, each sorted once.
 
     Within one size no parts tuple is a proper prefix of another, since the
     longer one would have the larger sum.  So descending parts order a
     bucket exactly as ascending negated parts do, and the buckets are
-    joined by ascending size.
+    joined by ascending size.  Unchecked: callers give valid parts.
     """
-    buckets: defaultdict[int, list[Partition]] = defaultdict(list)
-    for lam in found:
-        buckets[sum(lam.parts)].append(lam)
+    buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for parts in found:
+        buckets[sum(parts)].append(parts)
     ordered: list[Partition] = []
     for size in sorted(buckets):
-        ordered += sorted(buckets[size], key=attrgetter("parts"), reverse=True)
+        ordered += map(Partition._trusted, sorted(buckets[size], reverse=True))
     return ordered
 
 
@@ -266,10 +265,12 @@ class EnumerationResult:
     max_size_witnesses: tuple[Partition, ...]
 
 
-def _result(s: int, t: int, part_filter: str, found: list[Partition]) -> EnumerationResult:
+def _result(
+    s: int, t: int, part_filter: str, found: Iterable[tuple[int, ...]]
+) -> EnumerationResult:
     ordered = tuple(_canonical(found))
     max_size = ordered[-1].size if ordered else 0  # sizes ascend in canonical order
-    witnesses = ordered[bisect_left(ordered, max_size, key=attrgetter("size")) :]
+    witnesses = ordered[bisect_left(ordered, max_size, key=sum) :]
     return EnumerationResult(s, t, part_filter, ordered, len(ordered), max_size, witnesses)
 
 
@@ -281,7 +282,7 @@ def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResul
     ValueError.  Filters: all, distinct, odd, self_conjugate, each decided
     inside the walk, which yields the parts of the kept cores only.
     """
-    return _result(s, t, part_filter, list(map(Partition._trusted, _kept_parts(s, t, part_filter))))
+    return _result(s, t, part_filter, _kept_parts(s, t, part_filter))
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
             witnesses = [parts]
         elif size == max_size:
             witnesses.append(parts)
-    top = _canonical(map(Partition._trusted, witnesses))
+    top = _canonical(witnesses)
     return CoreSummary(s, t, part_filter, count, max_size, tuple(top))
 
 
@@ -333,7 +334,7 @@ def enumerate_core_bounded(
     _require_int("t", t)
     _require_int("max_size", max_size, 0)
     found = [
-        lam
+        lam.parts
         for n in range(max_size + 1)
         for lam in partitions_of(n)
         if is_t_core(lam, s) and is_t_core(lam, t) and predicate(lam)
@@ -341,53 +342,52 @@ def enumerate_core_bounded(
     return _result(s, t, part_filter, found)
 
 
-def _level(parts: Iterable[tuple[int, ...]]) -> list[Partition]:
-    """A perimeter level's parts tuples as partitions, canonically ordered.
+def _distinct_shapes(m: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition into distinct parts with perimeter m, unsorted.
 
-    Unchecked: each tuple is a largest part followed by parts taken from
-    below it, so it is positive and weakly decreasing by construction.  For
-    distinct parts they are a strictly decreasing combination of smaller
-    positive parts; for odd parts, an odd largest part followed by a weakly
-    decreasing multiset of odd parts no larger than it.
-    """
-    return _canonical(map(Partition._trusted, parts))
-
-
-def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
-    """All partitions into distinct parts with perimeter exactly m.
-
-    Listed from the shape: a partition with largest part L and perimeter m
-    has m + 1 - L parts, so it is L followed by a combination of m - L of
-    the parts L - 1, ..., 1, taken in decreasing order.  There are
-    C(L - 1, m - L) of them for each L, and the sum over L of
-    C(L - 1, m - L) is the shallow-diagonal sum of Pascal's triangle, F(m).
+    m is checked at the call.  Built from the shape: a partition with largest
+    part L and perimeter m has m + 1 - L parts, so it is L followed by a
+    combination of m - L of the parts L - 1, ..., 1, taken in decreasing
+    order.  There are C(L - 1, m - L) of them for each L, and the sum over L
+    of C(L - 1, m - L) is the shallow-diagonal sum of Pascal's triangle, F(m).
     """
     _require_int("m", m, 0)
     if m == 0:
-        return _level([()])
-    return _level(
+        return iter([()])
+    return (
         (largest,) + rest
         for largest in range(1, m + 1)
         for rest in combinations(range(largest - 1, 0, -1), m - largest)
     )
 
 
-def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
-    """All partitions into odd parts with perimeter exactly m.
+def _odd_shapes(m: int) -> Iterator[tuple[int, ...]]:
+    """The parts of every partition into odd parts with perimeter m, unsorted.
 
-    Listed from the shape: an odd largest part L = 2j + 1 followed by a
-    weakly decreasing multiset of m - L odd parts no larger than L, chosen
-    from the j + 1 values L, L - 2, ..., 1.  There are C(m - 1 - j, j) of
-    them for each j, so the count is the same shallow-diagonal sum, F(m).
+    m is checked at the call.  Built from the shape: an odd largest part
+    L = 2j + 1 followed by a weakly decreasing multiset of m - L odd parts
+    no larger than L, chosen from the j + 1 values L, L - 2, ..., 1.  There
+    are C(m - 1 - j, j) of them for each j, so the count is the same
+    shallow-diagonal sum, F(m).
     """
     _require_int("m", m, 0)
     if m == 0:
-        return _level([()])
-    return _level(
+        return iter([()])
+    return (
         (largest,) + rest
         for largest in range(1, m + 1, 2)
         for rest in combinations_with_replacement(range(largest, 0, -2), m - largest)
     )
+
+
+def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
+    """All partitions into distinct parts with perimeter exactly m, canonically ordered."""
+    return _canonical(_distinct_shapes(m))
+
+
+def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
+    """All partitions into odd parts with perimeter exactly m, canonically ordered."""
+    return _canonical(_odd_shapes(m))
 
 
 def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:

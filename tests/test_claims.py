@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
-from stcores import CLAIMS, run_claim
+from stcores import CLAIMS, Partition, run_claim
 from stcores import claims as claims_mod
+from stcores import search as search_mod
 from stcores import sequences as sequences_mod
 
 
@@ -125,3 +128,26 @@ def test_raising_case_builder_is_a_failed_case(monkeypatch):
     assert not report.passed
     assert report.mismatches
     assert all(case.got == "ArithmeticError" for case in report.mismatches)
+
+
+def test_distinct_odd_counts_shapes_without_building_partitions(monkeypatch):
+    def refused(*args):
+        raise AssertionError("distinct-odd built or sorted a partition")
+
+    monkeypatch.setattr(search_mod, "_canonical", refused)
+    monkeypatch.setattr(Partition, "_trusted", refused)
+    report = run_claim("distinct-odd", max_m=12)
+    assert report.passed, report.mismatches
+    assert len(report.cases) == 24  # M = 1..12, two families
+
+
+def test_distinct_odd_memory_does_not_grow_with_the_family():
+    # F(22) = 17,711 shapes per family: a listing of them takes megabytes
+    tracemalloc.start()
+    try:
+        report = run_claim("distinct-odd", max_m=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"

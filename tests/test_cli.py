@@ -459,7 +459,7 @@ class TestVerify:
         def exhausted(m):
             raise MemoryError
 
-        monkeypatch.setattr(search_mod, "enumerate_distinct_by_perimeter", exhausted)
+        monkeypatch.setattr(search_mod, "_distinct_shapes", exhausted)
         code, out, err = run_cli(capsys, "verify", "distinct-odd", "--max-m", "3")
         assert code == 1
         assert "FAIL" not in out
