@@ -29,8 +29,7 @@ from .search import (
     FILTERS,
     GAP_LIMIT,
     InfiniteFamilyError,
-    enumerate_core,
-    enumerate_core_bounded,
+    _listing,
     family_size,
     summarize_core,
 )
@@ -143,8 +142,6 @@ def _cmd_enumerate(args) -> dict:
                 f"--bound {args.bound} hook-tests every partition of size <= {args.bound}, "
                 f"more than the listing cap of {ENUMERATE_CAP}; rerun with --force"
             )
-        result = enumerate_core_bounded(args.s, args.t, args.part_filter, args.bound)
-        print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
     else:
         count = family_size(args.s, args.t, args.part_filter)  # refuses a walk too big to run
         if count is not None and count > ENUMERATE_CAP and not args.force:
@@ -152,17 +149,18 @@ def _cmd_enumerate(args) -> dict:
                 f"the ({args.s}, {args.t}) family with filter {args.part_filter} has {count} "
                 f"partitions, above the listing cap of {ENUMERATE_CAP}; rerun with --force"
             )
-        result = enumerate_core(args.s, args.t, args.part_filter)
+    listing = _listing(args.s, args.t, args.part_filter, args.bound)
     payload = {
-        "s": result.s,
-        "t": result.t,
-        "filter": result.filter,
-        "count": str(result.count),
-        "max_size": result.max_size,
-        "witnesses": [lam.parts for lam in result.max_size_witnesses],
-        "partitions": [lam.parts for lam in result.partitions],
+        "s": args.s,
+        "t": args.t,
+        "filter": args.part_filter,
+        "count": str(len(listing.parts)),
+        "max_size": listing.max_size,
+        "witnesses": listing.parts[listing.witness_start :],
+        "partitions": listing.parts,
     }
     if args.bound is not None:
+        print(f"note: partial listing, sizes <= {args.bound} only", file=sys.stderr)
         payload.update(partial=True, bound=args.bound)
     return payload
 

@@ -41,7 +41,8 @@ class Partition:
         Only for callers that already guarantee a weakly decreasing tuple
         of positive ints.  They are:
 
-        * `search._canonical`, which sorts and wraps parts tuples: the
+        * `search._wrapped`, `summarize_core` and the perimeter
+          enumerators, which wrap parts tuples sorted by `_canonical`: the
           walk's, as `search._ideals` puts a new top row x - ell, positive
           and no shorter than the old one, on each partition, and
           `search._arms_to_parts` turns such a mu into the rows

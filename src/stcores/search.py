@@ -51,11 +51,11 @@ partition-level predicates in FILTERS stay as the oracle for the bounded
 enumerator and the tests.
 
 `summarize_core` folds over the kept parts tuples: it counts them and
-keeps only those of the largest sum, its witnesses.  `enumerate_core`
-hands every kept tuple to `_canonical`, the one place that wraps tuples
-as partitions: one bucket per size, each sorted once as plain tuples and
-wrapped unchecked, the buckets taken by ascending size, so the largest
-ones are the listing's tail.  Both read the same walk, so the listing
+keeps only those of the largest sum, its witnesses.  `_result` sorts the
+kept tuples by `_canonical`: one bucket per size, each sorted once, the
+buckets taken by ascending size, so the largest ones are the listing's
+tail.  The CLI renders these tuples; only the library entry points wrap
+them, unchecked, as partitions.  Both read the same walk, so the listing
 stays a second route to every count.
 """
 
@@ -65,7 +65,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .betaset import is_twin_free
 from .partition import (
@@ -235,21 +235,29 @@ def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
     return (sum(parts), tuple([-p for p in parts]))
 
 
-def _canonical(found: Iterable[tuple[int, ...]]) -> list[Partition]:
-    """The parts tuples as partitions in canonical_key order: bucketed by size, each sorted once.
+def _canonical(found: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The parts tuples in canonical_key order: bucketed by size, each sorted once.
 
     Within one size no parts tuple is a proper prefix of another, since the
     longer one would have the larger sum.  So descending parts order a
     bucket exactly as ascending negated parts do, and the buckets are
-    joined by ascending size.  Unchecked: callers give valid parts.
+    joined by ascending size.
     """
     buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     for parts in found:
         buckets[sum(parts)].append(parts)
-    ordered: list[Partition] = []
+    ordered: list[tuple[int, ...]] = []
     for size in sorted(buckets):
-        ordered += map(Partition._trusted, sorted(buckets[size], reverse=True))
+        ordered += sorted(buckets[size], reverse=True)
     return ordered
+
+
+class _Listing(NamedTuple):
+    """A family's parts tuples in canonical order, its largest size and its first witness's index."""
+
+    parts: list[tuple[int, ...]]
+    max_size: int
+    witness_start: int
 
 
 @dataclass(frozen=True)
@@ -265,13 +273,29 @@ class EnumerationResult:
     max_size_witnesses: tuple[Partition, ...]
 
 
-def _result(
-    s: int, t: int, part_filter: str, found: Iterable[tuple[int, ...]]
-) -> EnumerationResult:
-    ordered = tuple(_canonical(found))
-    max_size = ordered[-1].size if ordered else 0  # sizes ascend in canonical order
-    witnesses = ordered[bisect_left(ordered, max_size, key=sum) :]
-    return EnumerationResult(s, t, part_filter, ordered, len(ordered), max_size, witnesses)
+def _result(found: Iterable[tuple[int, ...]]) -> _Listing:
+    ordered = _canonical(found)
+    max_size = sum(ordered[-1]) if ordered else 0  # sizes ascend in canonical order
+    return _Listing(ordered, max_size, bisect_left(ordered, max_size, key=sum))
+
+
+def _listing(s: int, t: int, part_filter: str, bound: Optional[int] = None) -> _Listing:
+    """enumerate_core, or enumerate_core_bounded up to a bound, as parts tuples; same errors."""
+    if bound is None:
+        return _result(_kept_parts(s, t, part_filter))
+    predicate = _predicate(part_filter)
+    _require_int("s", s)
+    _require_int("t", t)
+    _require_int("max_size", bound, 0)
+    cores = (lam for n in range(bound + 1) for lam in partitions_of(n) if is_t_core(lam, s))
+    return _result(lam.parts for lam in cores if is_t_core(lam, t) and predicate(lam))
+
+
+def _wrapped(s: int, t: int, part_filter: str, listing: _Listing) -> EnumerationResult:
+    """The listing with each parts tuple wrapped, unchecked, as a Partition."""
+    found = tuple(map(Partition._trusted, listing.parts))
+    witnesses = found[listing.witness_start :]
+    return EnumerationResult(s, t, part_filter, found, len(found), listing.max_size, witnesses)
 
 
 def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResult:
@@ -282,7 +306,7 @@ def enumerate_core(s: int, t: int, part_filter: str = "all") -> EnumerationResul
     ValueError.  Filters: all, distinct, odd, self_conjugate, each decided
     inside the walk, which yields the parts of the kept cores only.
     """
-    return _result(s, t, part_filter, _kept_parts(s, t, part_filter))
+    return _wrapped(s, t, part_filter, _listing(s, t, part_filter))
 
 
 @dataclass(frozen=True)
@@ -315,8 +339,8 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
             witnesses = [parts]
         elif size == max_size:
             witnesses.append(parts)
-    top = _canonical(witnesses)
-    return CoreSummary(s, t, part_filter, count, max_size, tuple(top))
+    top = tuple(map(Partition._trusted, _canonical(witnesses)))
+    return CoreSummary(s, t, part_filter, count, max_size, top)
 
 
 def enumerate_core_bounded(
@@ -329,17 +353,7 @@ def enumerate_core_bounded(
     hook predicates on every partition), so it doubles as a slow
     cross-check for enumerate_core.
     """
-    predicate = _predicate(part_filter)
-    _require_int("s", s)
-    _require_int("t", t)
-    _require_int("max_size", max_size, 0)
-    found = [
-        lam.parts
-        for n in range(max_size + 1)
-        for lam in partitions_of(n)
-        if is_t_core(lam, s) and is_t_core(lam, t) and predicate(lam)
-    ]
-    return _result(s, t, part_filter, found)
+    return _wrapped(s, t, part_filter, _listing(s, t, part_filter, max_size))
 
 
 def _distinct_shapes(m: int) -> Iterator[tuple[int, ...]]:
@@ -382,12 +396,12 @@ def _odd_shapes(m: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
     """All partitions into distinct parts with perimeter exactly m, canonically ordered."""
-    return _canonical(_distinct_shapes(m))
+    return list(map(Partition._trusted, _canonical(_distinct_shapes(m))))
 
 
 def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
     """All partitions into odd parts with perimeter exactly m, canonically ordered."""
-    return _canonical(_odd_shapes(m))
+    return list(map(Partition._trusted, _canonical(_odd_shapes(m))))
 
 
 def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:

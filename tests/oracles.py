@@ -19,7 +19,7 @@ import hypothesis.strategies as st
 
 from stcores import EnumerationResult, Partition, from_beta, hook_length
 from stcores.bijection import _checked
-from stcores.search import FILTERS, _predicate, _result, canonical_key
+from stcores.search import FILTERS, _predicate, _result, _wrapped, canonical_key
 from stcores.sequences import _require_coprime
 
 
@@ -117,7 +117,7 @@ def enumerate_core_reference(s: int, t: int, part_filter: str = "all") -> Enumer
         for lam in map(from_beta, down_closed_subsets_recursive(s, t, part_filter == "distinct"))
         if predicate(lam)
     ]
-    return _result(s, t, part_filter, [lam.parts for lam in found])
+    return _wrapped(s, t, part_filter, _result([lam.parts for lam in found]))
 
 
 def distinct_by_perimeter_checked(m: int) -> list[Partition]:

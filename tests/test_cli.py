@@ -13,6 +13,7 @@ from stcores import cli as cli_mod
 from stcores import search as search_mod
 from stcores import sequences as sequences_mod
 from stcores.cli import main
+from stcores.partition import Partition
 
 GOLDEN = Path(__file__).parent / "data" / "distinct_core_counts_12x12.csv"
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_all.csv"
@@ -166,7 +167,7 @@ class TestEnumerate:
         def no_listing(*args, **kwargs):
             raise AssertionError("the bounded listing started")
 
-        monkeypatch.setattr(cli_mod, "enumerate_core_bounded", no_listing)
+        monkeypatch.setattr(cli_mod, "_listing", no_listing)
         code, out, err = run_cli(capsys, "enumerate", "--s", "2", "--t", "4", "--bound", "41")
         assert code == 1
         assert out == ""
@@ -178,9 +179,9 @@ class TestEnumerate:
 
         def listing_of_size_zero(s, t, part_filter, bound):
             calls.append(bound)
-            return search_mod.enumerate_core_bounded(s, t, part_filter, 0)
+            return search_mod._listing(s, t, part_filter, 0)
 
-        monkeypatch.setattr(cli_mod, "enumerate_core_bounded", listing_of_size_zero)
+        monkeypatch.setattr(cli_mod, "_listing", listing_of_size_zero)
         code, _, _ = run_cli(capsys, "enumerate", "--s", "2", "--t", "4", *extra)
         assert code == 0
         assert calls == [int(extra[1])]
@@ -192,7 +193,7 @@ class TestEnumerate:
             raise AssertionError("the listing started")
 
         # Unpatched, a pair this large would try to allocate its gap poset.
-        monkeypatch.setattr(cli_mod, "enumerate_core", no_listing)
+        monkeypatch.setattr(cli_mod, "_listing", no_listing)
         code, out, err = run_cli(
             capsys, "enumerate", "--s", "99999999999", "--t", "100000000000",
             "--filter", part_filter, *force,
@@ -205,7 +206,7 @@ class TestEnumerate:
     def test_huge_non_coprime_pair_still_infinite(self, capsys, monkeypatch):
         # The listing's own first check, without the walk behind it.
         monkeypatch.setattr(
-            cli_mod, "enumerate_core", lambda s, t, part_filter: search_mod._require_coprime(s, t)
+            cli_mod, "_listing", lambda s, t, part_filter, bound: search_mod._require_coprime(s, t)
         )
         code, out, err = run_cli(
             capsys, "enumerate", "--s", "100000000000", "--t", "100000000002", "--filter", "odd",
@@ -287,6 +288,22 @@ LISTING_SHA256 = {
 
 @pytest.mark.parametrize("flags", list(LISTING_SHA256))
 def test_listing_bytes_are_pinned(capsys, flags):
+    code, out, _ = run_cli(capsys, "enumerate", *flags.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_SHA256[flags]
+
+
+@pytest.mark.parametrize("flags", [
+    flags for flags in LISTING_SHA256
+    if flags.startswith(("--s 11 --t 12 --filter all ", "--s 11 --t 12 --filter self_conjugate ",
+                         "--s 3 --t 5 --bound 20 "))
+])
+def test_listing_wraps_no_core_as_a_partition(capsys, monkeypatch, flags):
+    # the listing stays parts tuples from the sort to the renderers
+    def refused(*args):
+        raise AssertionError("enumerate wrapped a listed core as a Partition")
+
+    monkeypatch.setattr(Partition, "_trusted", refused)
     code, out, _ = run_cli(capsys, "enumerate", *flags.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_SHA256[flags]
@@ -775,7 +792,7 @@ class TestOut:
         def no_listing(*args):
             raise AssertionError("listed before refusing --out")
 
-        monkeypatch.setattr(cli_mod, "enumerate_core", no_listing)
+        monkeypatch.setattr(cli_mod, "_listing", no_listing)
         code, out, err = run_cli(capsys, "enumerate", "--s", "3", "--t", "5", "--out", "")
         assert (code, out) == (1, "")
         assert err.startswith("error: --out ") and "Traceback" not in err

@@ -38,7 +38,9 @@ from stcores.search import (
     _canonical,
     _ideals,
     _kept_parts,
+    _listing,
     _result,
+    _wrapped,
     canonical_key,
     summarize_core,
 )
@@ -193,7 +195,8 @@ class TestEnumerateCore:
             Partition(parts) for parts in [(5, 3), (5, 3, 1), (2, 1), (2, 1, 1), (6, 2), (5, 3)]
         ]
         random.Random(10).shuffle(mixed)
-        assert _canonical([lam.parts for lam in mixed]) == sorted(mixed, key=canonical_key)
+        want = [lam.parts for lam in sorted(mixed, key=canonical_key)]
+        assert _canonical([lam.parts for lam in mixed]) == want
 
     def test_witnesses_are_the_tail_of_the_listing(self):
         # the size-ascending tail against a scan of every listed size
@@ -208,9 +211,9 @@ class TestEnumerateCore:
         ]
         counts = []
         for found in families:
-            result = _result(0, 0, "all", [lam.parts for lam in found])
-            scan = tuple(lam for lam in result.partitions if lam.size == result.max_size)
-            assert result.max_size_witnesses == scan
+            listing = _result([lam.parts for lam in found])
+            scan = [parts for parts in listing.parts if sum(parts) == listing.max_size]
+            assert listing.parts[listing.witness_start :] == scan
             counts.append(len(scan))
         assert counts == [1, 2, 2, 1, 0]
 
@@ -230,7 +233,8 @@ class TestEnumerateCore:
 
     @given(st.lists(partitions(max_part=6, max_len=5)))
     def test_canonical_helper_matches_canonical_key_on_any_list(self, family):
-        assert _canonical([lam.parts for lam in family]) == sorted(family, key=canonical_key)
+        want = [lam.parts for lam in sorted(family, key=canonical_key)]
+        assert _canonical([lam.parts for lam in family]) == want
 
     def test_distinct_results_have_twin_free_downclosed_betas(self):
         gaps = set(gap_poset(7, 9))
@@ -314,7 +318,7 @@ class TestBetaSetPath:
     def test_self_conjugate_walk_matches_post_filter(self, s, t):
         # the arm-set walk against the unpruned gap walk plus the beta-set predicate
         kept = [beta for beta in _betas(_ideals(s, t, "all")) if is_self_conjugate_beta(beta)]
-        want = _result(s, t, "self_conjugate", [from_beta(beta).parts for beta in kept])
+        want = _wrapped(s, t, "self_conjugate", _result([from_beta(beta).parts for beta in kept]))
         assert enumerate_core(s, t, "self_conjugate") == want
         assert _summary_of(summarize_core(s, t, "self_conjugate")) == _summary_of(want)
         # every walked arm set is kept
@@ -366,6 +370,35 @@ SMALL_PAIRS = [
     if gcd(s, t) == 1 and anderson_count(s, t) <= 3000
 ]
 CLOSED_FORMS = {"all": anderson_count, "self_conjugate": fms_selfconjugate_count}
+
+
+def _listing_fields(listing):
+    parts = listing.parts
+    return parts, len(parts), listing.max_size, parts[listing.witness_start :]
+
+
+def _result_fields(result):
+    unwrapped = [lam.parts for lam in result.partitions]
+    witnesses = [lam.parts for lam in result.max_size_witnesses]
+    return unwrapped, result.count, result.max_size, witnesses
+
+
+class TestTupleListing:
+    """_listing, the CLI's route, against the library's wrapped results."""
+
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_matches_enumerate_core(self, part_filter):
+        for s in range(1, 13):
+            for t in range(1, 13):
+                if gcd(s, t) == 1:
+                    want = _result_fields(enumerate_core(s, t, part_filter))
+                    assert _listing_fields(_listing(s, t, part_filter)) == want, (s, t)
+
+    @pytest.mark.parametrize("s,t,bound", [(4, 6, 6), (3, 5, 20)])
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_bounded_matches_enumerate_core_bounded(self, s, t, bound, part_filter):
+        want = _result_fields(enumerate_core_bounded(s, t, part_filter, bound))
+        assert _listing_fields(_listing(s, t, part_filter, bound)) == want
 
 
 class TestSummaryFold:
