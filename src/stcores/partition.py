@@ -42,7 +42,7 @@ class Partition:
         of positive ints.  They are:
 
         * `search._wrapped`, `summarize_core` and the perimeter
-          enumerators, which wrap parts tuples sorted by `_canonical`: the
+          enumerators, which wrap parts tuples sorted by `_result`: the
           walk's, as `search._ideals` puts a new top row x - ell, positive
           and no shorter than the old one, on each partition, and
           `search._arms_to_parts` turns such a mu into the rows

@@ -28,7 +28,8 @@ ideal is reached once, from the ideal without its largest element.  A node
 extends only by its addable gaps above its last element x: those it
 inherited, then x + min(s, t) if addable (`_ideals` says why), at most
 one per residue class mod min(s, t).  That bounds the work per ideal; an
-explicit stack holds the frames, so no recursion limit bounds the depth.
+explicit stack holds each node's partition with its remaining candidates,
+so no recursion limit bounds the depth.
 It yields partitions, not hook sets: adding x to an ideal of ell elements
 puts a new top row x - ell on the partition built so far, positive and no
 shorter than the old top row, as x is above ell and every chosen element.
@@ -51,17 +52,17 @@ partition-level predicates in FILTERS stay as the oracle for the bounded
 enumerator and the tests.
 
 `summarize_core` folds over the kept parts tuples: it counts them and
-keeps only those of the largest sum, its witnesses.  `_result` sorts the
-kept tuples by `_canonical`: one bucket per size, each sorted once, the
-buckets taken by ascending size, so the largest ones are the listing's
-tail.  The CLI renders these tuples; only the library entry points wrap
-them, unchecked, as partitions.  Both read the same walk, so the listing
-stays a second route to every count.
+keeps only those of the largest sum, its witnesses.  `_result` is the one
+canonical sort, for listings, witnesses and perimeter shapes alike: one
+bucket per size, each sorted once, the buckets taken by ascending size,
+so the last bucket is the listing's tail and gives its largest size and
+first witness.  The CLI renders these tuples; only the library entry
+points wrap them, unchecked, as partitions.  Both read the same walk, so
+the listing stays a second route to every count.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -105,15 +106,16 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """Each order ideal the walk keeps, once, in lexicographic order, as its partition's parts.
 
     The module's rule, with top = F and floor 0 for gaps, (F+1)//2 and 1 for
-    the arm sets of `self_conjugate`, walked depth first, in pre-order.  A
-    frame holds a node's addable elements above its last element, ascending,
-    and is consumed from the front.  With a, b = sorted((s, t)), choosing x
-    unlocks at most x + a: x + b's other lower cover, x + b - a, lies above
-    x, so it is unchosen and above the floor.  An inherited c has c - a
-    chosen (below x) or below the floor (below 1 <= x), so c < x + a: the
-    append keeps the frame ascending, with at most one candidate per
-    residue class mod a.  A filter is one test on the popped candidate x;
-    when it holds, x is skipped:
+    the arm sets of `self_conjugate`, walked depth first, in pre-order.  Each
+    stack entry pairs a node's parts with its addable elements above its
+    last element, ascending, consumed from the front; popping the entry
+    unchooses that last element, the top row plus len(parts) - 1.  With
+    a, b = sorted((s, t)), choosing x unlocks at most x + a: x + b's other
+    lower cover, x + b - a, lies above x, so it is unchosen and above the
+    floor.  An inherited c has c - a chosen (below x) or below the floor
+    (below 1 <= x), so c < x + a: the append keeps the candidates
+    ascending, with at most one per residue class mod a.  A filter is one
+    test on the popped candidate x; when it holds, x is skipped:
 
         filter           skip x when                  what stays
         distinct         x - 1 is chosen              the twins x - 1, x
@@ -138,35 +140,31 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     partners = (s + 1, t + 1) if arm_sets else ()
     a, b = sorted((s, t))
     chosen = bytearray(top + 1)
-    shapes: list[tuple[int, ...]] = [()]
-    frames = [list(range(1, min(a + floor, top + 1)))]  # y - a < floor
+    stack = [((), list(range(1, min(a + floor, top + 1))))]  # y - a < floor
     yield ()
-    while frames:
-        candidates = frames[-1]
+    while stack:
+        below, candidates = stack[-1]
         if not candidates:
-            frames.pop()
-            parts = shapes.pop()
-            if parts:
-                chosen[parts[0] + len(parts) - 1] = 0
+            stack.pop()
+            if below:
+                chosen[below[0] + len(below) - 1] = 0
             continue
         x = candidates.pop(0)
         if twin_free and chosen[x - 1]:
             continue
-        below = shapes[-1]
         part = x - len(below)
         if odd_parts and not part & 1:
             continue
         if partners and any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in partners):
             continue
         parts = (part,) + below
-        shapes.append(parts)
         chosen[x] = 1
         yield parts
         rest = candidates[:]
         y = x + a
         if y <= top and (y - b < floor or chosen[y - b]):
             rest.append(y)
-        frames.append(rest)
+        stack.append((parts, rest))
 
 
 FILTERS: dict[str, Callable[[Partition], bool]] = {
@@ -228,28 +226,11 @@ def _kept_parts(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
     """Sort key: size ascending, then parts lexicographically descending.
 
-    The definition of canonical order.  The listings sort by `_canonical`,
+    The definition of canonical order.  The listings sort by `_result`,
     which gives the same order faster; the tests compare the two.
     """
     parts = lam.parts
     return (sum(parts), tuple([-p for p in parts]))
-
-
-def _canonical(found: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The parts tuples in canonical_key order: bucketed by size, each sorted once.
-
-    Within one size no parts tuple is a proper prefix of another, since the
-    longer one would have the larger sum.  So descending parts order a
-    bucket exactly as ascending negated parts do, and the buckets are
-    joined by ascending size.
-    """
-    buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for parts in found:
-        buckets[sum(parts)].append(parts)
-    ordered: list[tuple[int, ...]] = []
-    for size in sorted(buckets):
-        ordered += sorted(buckets[size], reverse=True)
-    return ordered
 
 
 class _Listing(NamedTuple):
@@ -274,9 +255,21 @@ class EnumerationResult:
 
 
 def _result(found: Iterable[tuple[int, ...]]) -> _Listing:
-    ordered = _canonical(found)
-    max_size = sum(ordered[-1]) if ordered else 0  # sizes ascend in canonical order
-    return _Listing(ordered, max_size, bisect_left(ordered, max_size, key=sum))
+    """The parts tuples in canonical_key order: bucketed by size, each bucket sorted once.
+
+    Within one size no parts tuple is a proper prefix of another, since the
+    longer one would have the larger sum.  So descending parts order a
+    bucket exactly as ascending negated parts do, and the buckets are
+    joined by ascending size; the last one, of the largest size, is the tail.
+    """
+    buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for parts in found:
+        buckets[sum(parts)].append(parts)
+    ordered: list[tuple[int, ...]] = []
+    for size in sorted(buckets):
+        ordered += sorted(buckets[size], reverse=True)
+    max_size = max(buckets, default=0)
+    return _Listing(ordered, max_size, len(ordered) - len(buckets[max_size]))
 
 
 def _listing(s: int, t: int, part_filter: str, bound: Optional[int] = None) -> _Listing:
@@ -339,7 +332,7 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
             witnesses = [parts]
         elif size == max_size:
             witnesses.append(parts)
-    top = tuple(map(Partition._trusted, _canonical(witnesses)))
+    top = tuple(map(Partition._trusted, _result(witnesses).parts))
     return CoreSummary(s, t, part_filter, count, max_size, top)
 
 
@@ -396,12 +389,12 @@ def _odd_shapes(m: int) -> Iterator[tuple[int, ...]]:
 
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
     """All partitions into distinct parts with perimeter exactly m, canonically ordered."""
-    return list(map(Partition._trusted, _canonical(_distinct_shapes(m))))
+    return list(map(Partition._trusted, _result(_distinct_shapes(m)).parts))
 
 
 def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
     """All partitions into odd parts with perimeter exactly m, canonically ordered."""
-    return list(map(Partition._trusted, _canonical(_odd_shapes(m))))
+    return list(map(Partition._trusted, _result(_odd_shapes(m)).parts))
 
 
 def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:

@@ -134,7 +134,7 @@ def test_distinct_odd_counts_shapes_without_building_partitions(monkeypatch):
     def refused(*args):
         raise AssertionError("distinct-odd built or sorted a partition")
 
-    monkeypatch.setattr(search_mod, "_canonical", refused)
+    monkeypatch.setattr(search_mod, "_result", refused)
     monkeypatch.setattr(Partition, "_trusted", refused)
     report = run_claim("distinct-odd", max_m=12)
     assert report.passed, report.mismatches

@@ -3,7 +3,7 @@ import sys
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stcores import (
@@ -35,7 +35,6 @@ from stcores.search import (
     FILTERS,
     CoreSummary,
     _arms_to_parts,
-    _canonical,
     _ideals,
     _kept_parts,
     _listing,
@@ -196,7 +195,7 @@ class TestEnumerateCore:
         ]
         random.Random(10).shuffle(mixed)
         want = [lam.parts for lam in sorted(mixed, key=canonical_key)]
-        assert _canonical([lam.parts for lam in mixed]) == want
+        assert _result([lam.parts for lam in mixed]).parts == want
 
     def test_witnesses_are_the_tail_of_the_listing(self):
         # the size-ascending tail against a scan of every listed size
@@ -232,9 +231,16 @@ class TestEnumerateCore:
                 assert result.max_size_witnesses == tail, (s, t)
 
     @given(st.lists(partitions(max_part=6, max_len=5)))
+    @example([])
+    @example([Partition((2, 1)), Partition((3,)), Partition(()), Partition((2, 1))])
     def test_canonical_helper_matches_canonical_key_on_any_list(self, family):
         want = [lam.parts for lam in sorted(family, key=canonical_key)]
-        assert _canonical([lam.parts for lam in family]) == want
+        listing = _result([lam.parts for lam in family])
+        assert listing.parts == want
+        # the last bucket against a scan of every size, duplicates and [] included
+        assert listing.max_size == max((lam.size for lam in family), default=0)
+        scan = [parts for parts in want if sum(parts) == listing.max_size]
+        assert listing.parts[listing.witness_start :] == scan
 
     def test_distinct_results_have_twin_free_downclosed_betas(self):
         gaps = set(gap_poset(7, 9))
