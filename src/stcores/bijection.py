@@ -13,6 +13,22 @@ Each entry adds exactly its own value to the perimeter of both partitions,
 so composing one map with the inverse of the other yields a bijection
 between partitions into distinct parts and partitions into odd parts that
 preserves the perimeter -- though not, in general, the size.
+
+`distinct_to_odd` and `odd_to_distinct` are that composition, computed
+without building the composition.  Set aside the final 1 of a nonempty
+composition; what is left is 1^a_1 2 1^a_2 2 ... 2 1^a_k, with k - 1 twos
+and runs a_i >= 0 of ones between them.  Then:
+
+  * the distinct-parts partition p_1 > ... > p_k has the runs as its gaps,
+    a_i = p_i - p_{i+1} - 1 with p_{k+1} = 0;
+  * the odd-parts partition has largest part 2k - 1, and the odd value
+    2(k - i) + 1 occurs a_i times, plus once more for the largest (i = 1):
+    read right to left, the final 1 and each 2 bring a new value, each 1
+    repeats it, and each 2 takes one copy of the old value away.
+
+So each map reads the other side's runs off its input's gaps or
+multiplicities, one step per part value.  `lambda_d`, `lambda_o` and their
+inverses stay the literal construction, one step per composition entry.
 """
 
 from __future__ import annotations
@@ -105,6 +121,20 @@ def lambda_o(mu: CompositionC) -> Partition:
     return _build_o(_checked(mu))
 
 
+def _distinct_parts(lam: Partition) -> tuple[int, ...]:
+    """lam's parts; raises ValueError unless they are distinct."""
+    if not has_distinct_parts(lam):
+        raise ValueError(f"expected a partition into distinct parts, got {lam}")
+    return lam.parts
+
+
+def _odd_parts(lam: Partition) -> tuple[int, ...]:
+    """lam's parts; raises ValueError unless they are odd."""
+    if not has_odd_parts(lam):
+        raise ValueError(f"expected a partition into odd parts, got {lam}")
+    return lam.parts
+
+
 def inverse_lambda_d(lam: Partition) -> CompositionC:
     """The unique composition with lambda_d(mu) = lam.
 
@@ -114,9 +144,7 @@ def inverse_lambda_d(lam: Partition) -> CompositionC:
     part p above a part q contributes p - q - 1 ones and then a 2, and the
     smallest part p contributes p ones.
     """
-    if not has_distinct_parts(lam):
-        raise ValueError(f"expected a partition into distinct parts, got {lam}")
-    parts = lam.parts
+    parts = _distinct_parts(lam)
     mu: list[int] = []
     for p, q in zip(parts, parts[1:] + (0,)):
         mu.extend((1,) * (p - q - 1))
@@ -133,9 +161,7 @@ def inverse_lambda_o(lam: Partition) -> CompositionC:
     above a part q, or above nothing with q = 1, contributes (p - q) / 2
     twos and then a 1.
     """
-    if not has_odd_parts(lam):
-        raise ValueError(f"expected a partition into odd parts, got {lam}")
-    parts = lam.parts
+    parts = _odd_parts(lam)
     mu: list[int] = []
     for p, q in zip(parts, parts[1:] + (1,)):
         mu.extend((2,) * ((p - q) // 2))
@@ -146,12 +172,50 @@ def inverse_lambda_o(lam: Partition) -> CompositionC:
 def distinct_to_odd(lam: Partition) -> Partition:
     """Perimeter-preserving image of a distinct-parts partition among odd-parts ones.
 
-    Raises ValueError unless lam has distinct parts; the composition in
-    between is valid by construction, so it is not checked again.
+    For lam = (p_1 > ... > p_k) the image is 2k - 1 repeated p_1 - p_2
+    times, then 2(k - i) + 1 repeated p_i - p_{i+1} - 1 times for i = 2..k,
+    with p_{k+1} = 0.  This is lambda_o(inverse_lambda_d(lam)): the gaps of
+    lam are the runs of ones of the composition, and lambda_o turns those
+    runs into these multiplicities (see the module docstring), so no
+    composition is built.  One step per part.  Raises ValueError unless lam
+    has distinct parts.
     """
-    return _build_o(inverse_lambda_d(lam))
+    parts = _distinct_parts(lam)
+    if not parts:
+        return Partition._trusted(())
+    image: list[int] = []
+    odd = 2 * len(parts) - 1
+    above = parts[0] + 1  # the largest value gets one copy more than the gap rule gives
+    for p in parts[1:] + (0,):
+        image += (odd,) * (above - p - 1)
+        above = p
+        odd -= 2
+    return Partition._trusted(tuple(image))
 
 
 def odd_to_distinct(lam: Partition) -> Partition:
-    """Inverse of distinct_to_odd; raises ValueError unless lam has odd parts."""
-    return _build_d(inverse_lambda_o(lam))
+    """Inverse of distinct_to_odd; raises ValueError unless lam has odd parts.
+
+    For lam with n parts, largest part 2k - 1 and m(v) parts equal to v, the
+    image has k parts.  From the bottom they are the running sums of
+    m(v) + 1 over v = 1, 3, ..., 2k - 3, and the top part is n + k - 1.
+    This is lambda_d(inverse_lambda_o(lam)): the multiplicities of lam are
+    the runs of ones of the composition, and lambda_d turns those runs into
+    these gaps (see the module docstring), so no composition is built.  One
+    pass over lam, from its smallest part.
+    """
+    parts = _odd_parts(lam)
+    if not parts:
+        return Partition._trusted(())
+    image: list[int] = []
+    part = 0
+    odd = 1
+    for p in reversed(parts):
+        while odd < p:  # every copy of odd is counted: close its part
+            part += 1
+            image.append(part)
+            odd += 2
+        part += 1
+    image.append(part)
+    image.reverse()
+    return Partition._trusted(tuple(image))

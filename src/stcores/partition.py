@@ -9,6 +9,7 @@ is pure, so everything can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt
 from typing import Iterable, Iterator
 
 from .sequences import _require_int
@@ -51,9 +52,15 @@ class Partition:
           smaller positive parts (`_distinct_shapes`) or an odd largest
           part then a weakly decreasing multiset of odd parts no larger
           than it (`_odd_shapes`); and `enumerate_core_bounded`'s checked ones.
-        * `bijection._build_d` / `_build_o` (lambda_d, lambda_o and the
-          composed maps): from [1], a step only grows the largest part or
-          appends a part at least as large, and the list is then reversed.
+        * `bijection._build_d` / `_build_o` (lambda_d and lambda_o): from
+          [1], a step only grows the largest part or appends a part at
+          least as large, and the list is then reversed.
+        * `bijection.distinct_to_odd`: runs of the odd values 2k - 1, ...,
+          3, 1 in that order, each run p_i - p_{i+1} - 1 >= 0 long (or
+          p_1 - p_2) because the input's parts are distinct.
+        * `bijection.odd_to_distinct`: running sums built from the bottom,
+          each larger than the last (a closed part adds one, the top adds
+          the largest part's multiplicity, at least one), then reversed.
         """
         lam = object.__new__(cls)
         object.__setattr__(lam, "parts", parts)
@@ -129,11 +136,11 @@ def is_t_core(lam: Partition, t: int) -> bool:
 
 
 def has_distinct_parts(lam: Partition) -> bool:
-    return all(a > b for a, b in zip(lam.parts, lam.parts[1:]))
+    return all(map(gt, lam.parts, lam.parts[1:]))
 
 
 def has_odd_parts(lam: Partition) -> bool:
-    return all(p % 2 == 1 for p in lam.parts)
+    return all(p % 2 for p in lam.parts)
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -261,6 +261,18 @@ def partitions(draw, max_part: int = 15, max_len: int = 8) -> Partition:
 
 
 @st.composite
+def distinct_partitions(draw, max_part: int = 400, max_len: int = 40) -> Partition:
+    parts = draw(st.sets(st.integers(1, max_part), max_size=max_len))
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
+@st.composite
+def odd_partitions(draw, max_part: int = 301, max_len: int = 60) -> Partition:
+    halves = draw(st.lists(st.integers(0, (max_part - 1) // 2), max_size=max_len))
+    return Partition(tuple(sorted((2 * h + 1 for h in halves), reverse=True)))
+
+
+@st.composite
 def compositions(draw, max_len: int = 14) -> tuple[int, ...]:
     body = draw(st.lists(st.sampled_from([1, 2]), max_size=max_len))
     if not body:

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
+from stcores import bijection, search
 from stcores import (
     Partition,
     compositions_of,
@@ -19,7 +20,14 @@ from stcores import (
     perimeter,
 )
 
-from oracles import compositions, lambda_d_checked, lambda_o_checked, perimeter_family
+from oracles import (
+    compositions,
+    distinct_partitions,
+    lambda_d_checked,
+    lambda_o_checked,
+    odd_partitions,
+    perimeter_family,
+)
 
 
 class TestCompositionsOf:
@@ -134,10 +142,13 @@ class TestComposedBijection:
         assert odd_to_distinct(Partition((3, 3))) == Partition((3, 1))
 
     def test_reject_wrong_shape(self):
-        with pytest.raises(ValueError):
-            distinct_to_odd(Partition((3, 3)))
-        with pytest.raises(ValueError):
-            odd_to_distinct(Partition((2, 1)))
+        # the fault may sit at the head or only at the tail of the parts
+        for parts in [(3, 3), (4, 2, 2)]:
+            with pytest.raises(ValueError, match="expected a partition into distinct parts"):
+                distinct_to_odd(Partition(parts))
+        for parts in [(2, 1), (5, 3, 2)]:
+            with pytest.raises(ValueError, match="expected a partition into odd parts"):
+                odd_to_distinct(Partition(parts))
 
     def test_match_checked_composition_route(self):
         for m in range(0, 17):
@@ -151,6 +162,55 @@ class TestComposedBijection:
                 mu = inverse_lambda_o(lam)
                 assert image == lambda_d(mu) == lambda_d_checked(mu), lam
                 assert Partition(image.parts) == image
+
+    def test_match_composition_route_on_every_shape(self):
+        for m in range(0, 21):
+            for parts in search._distinct_shapes(m):
+                lam = Partition(parts)
+                assert distinct_to_odd(lam) == lambda_o(inverse_lambda_d(lam)), lam
+            for parts in search._odd_shapes(m):
+                lam = Partition(parts)
+                assert odd_to_distinct(lam) == lambda_d(inverse_lambda_o(lam)), lam
+
+    @given(distinct_partitions())
+    @example(Partition(()))
+    @example(Partition((1,)))
+    @example(Partition((400,)))
+    @example(Partition(tuple(range(40, 0, -1))))  # staircase: every gap is 1
+    def test_distinct_to_odd_property(self, lam):
+        image = distinct_to_odd(lam)
+        mu = inverse_lambda_d(lam)
+        assert image == lambda_o(mu) == lambda_o_checked(mu)
+        assert type(image.parts) is tuple
+        assert Partition(image.parts) == image
+
+    @given(odd_partitions())
+    @example(Partition(()))
+    @example(Partition((1,)))
+    @example(Partition((301,)))
+    @example(Partition((1,) * 60))
+    @example(Partition((301,) * 60))
+    def test_odd_to_distinct_property(self, lam):
+        image = odd_to_distinct(lam)
+        mu = inverse_lambda_o(lam)
+        assert image == lambda_d(mu) == lambda_d_checked(mu)
+        assert type(image.parts) is tuple
+        assert Partition(image.parts) == image
+
+    def test_maps_build_no_composition(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the composed maps must not build the composition")
+
+        for name in ("inverse_lambda_d", "inverse_lambda_o", "_build_d", "_build_o"):
+            monkeypatch.setattr(bijection, name, forbidden)
+        for m in range(0, 13):
+            family_d = enumerate_distinct_by_perimeter(m)
+            mapped = [distinct_to_odd(lam) for lam in family_d]
+            assert set(mapped) == set(enumerate_odd_by_perimeter(m))
+            assert [odd_to_distinct(lam) for lam in mapped] == family_d
+        image = distinct_to_odd(Partition((10**6,)))
+        assert image.parts == (1,) * 10**6
+        assert odd_to_distinct(image).parts == (10**6,)
 
     def test_size_not_preserved(self):
         image_d, image_o = lambda_d((1, 2, 1)), lambda_o((1, 2, 1))

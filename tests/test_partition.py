@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from stcores import (
     Partition,
@@ -148,6 +148,13 @@ class TestPredicates:
         assert has_odd_parts(Partition((3, 3, 1)))
         assert not has_odd_parts(Partition((4, 1)))
         assert has_odd_parts(Partition(()))
+
+    @given(partitions())
+    @example(Partition((4, 2, 2)))  # the repeat is only at the tail
+    @example(Partition((5, 3, 2)))  # the even part is only at the tail
+    def test_match_definitions(self, lam):
+        assert has_distinct_parts(lam) is (len(set(lam.parts)) == len(lam.parts))
+        assert has_odd_parts(lam) is all(p % 2 == 1 for p in lam.parts)
 
 
 class TestConjugate:
