@@ -19,7 +19,7 @@ from .bijection import (
     lambda_o,
     odd_to_distinct,
 )
-from .claims import CLAIMS, ClaimCase, VerificationReport, run_claim
+from .claims import CLAIMS, ClaimCase, VerificationReport, run_claim, shared_fold
 from .partition import (
     Partition,
     conjugate,
@@ -98,6 +98,7 @@ __all__ = [
     "partitions_of",
     "perimeter",
     "run_claim",
+    "shared_fold",
     "summarize_core",
     "to_beta",
 ]

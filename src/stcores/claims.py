@@ -5,7 +5,10 @@ cases, an overall verdict, and the wall-clock time.  The enumeration side
 is always an exhaustive search from `search` (the summary fold where only
 counts, max sizes and witnesses are compared; the unsorted perimeter shapes
 where only their number is); the expected side is a formula, so
-corrupting either one makes the claim fail loudly.  A claim's
+corrupting either one makes the claim fail loudly.  The case builders take
+the fold as an argument, by default a `shared_fold()`, a memo over
+`search.summarize_core`; one request passes the same one to every claim it
+runs, so it folds each unordered (s, t, filter) family once.  A claim's
 scope returns its range text and its case params together, and the claims
 that compare the fold's count of one family with a closed form share one
 case builder, `_count_cases`.
@@ -50,7 +53,7 @@ class Claim:
     summary: str
     defaults: dict
     scope: Callable[..., "tuple[str, list[dict]]"]
-    cases: Callable[[dict], "list[ClaimCase]"]
+    cases: Callable[[dict, search.Fold], "list[ClaimCase]"]
 
 
 def _case(params: dict, expected, got) -> ClaimCase:
@@ -89,30 +92,31 @@ def witness_count_s_plus_1(s: int) -> int:
     return 2 if s >= 4 and s % 3 == 1 else 1
 
 
-# Case builders.  Formulas are reached through their defining module so a
-# deliberately corrupted formula (monkeypatched in the harness meta-test)
-# is picked up at call time; hence `_count_cases` takes callables of the
-# case params, not formula objects bound when the registry is built.
+# Case builders, each called with the case params and the fold.  Formulas
+# are reached through their defining module so a deliberately corrupted
+# formula (monkeypatched in the harness meta-test) is picked up at call
+# time; hence `_count_cases` takes callables of the case params, not
+# formula objects bound when the registry is built.
 
 def _count_cases(
     part_filter: str, t_of: Callable[[dict], int], closed_form: Callable[[dict], int]
-) -> Callable[[dict], list[ClaimCase]]:
+) -> Callable[[dict, search.Fold], list[ClaimCase]]:
     """Cases that compare the fold's count of the (s, t_of(p)) family with closed_form(p)."""
 
-    def cases(p: dict) -> list[ClaimCase]:
-        return [_case(p, closed_form(p), search.summarize_core(p["s"], t_of(p), part_filter).count)]
+    def cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
+        return [_case(p, closed_form(p), fold(p["s"], t_of(p), part_filter).count)]
 
     return cases
 
 
-def _distinct_odd_cases(p: dict) -> list[ClaimCase]:
+def _distinct_odd_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
     m = p["m"]
     want = sequences.fibonacci(m)
     shapes = {"distinct": search._distinct_shapes(m), "odd": search._odd_shapes(m)}
     return [_case({"m": m, "family": f}, want, sum(1 for _ in it)) for f, it in shapes.items()]
 
 
-def _fib_general_cases(p: dict) -> list[ClaimCase]:
+def _fib_general_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
     d, s = p["d"], p["s"]
     want = sequences.n_poly(s)(d)
     cases = [
@@ -128,15 +132,15 @@ def _fib_general_cases(p: dict) -> list[ClaimCase]:
             _case(
                 {"d": d, "s": s, "check": "enumeration"},
                 want,
-                search.summarize_core(s, t, "distinct").count,
+                fold(s, t, "distinct").count,
             )
         )
     return cases
 
 
-def _maxsize_s_s2_cases(p: dict) -> list[ClaimCase]:
+def _maxsize_s_s2_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
     s = p["s"]
-    summary = search.summarize_core(s, s + 2, "distinct")
+    summary = fold(s, s + 2, "distinct")
     witnesses = summary.max_size_witnesses
     top = witnesses[0]
     return [
@@ -151,9 +155,9 @@ def _maxsize_s_s2_cases(p: dict) -> list[ClaimCase]:
     ]
 
 
-def _maxsize_s_s1_cases(p: dict) -> list[ClaimCase]:
+def _maxsize_s_s1_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
     s = p["s"]
-    summary = search.summarize_core(s, s + 1, "distinct")
+    summary = fold(s, s + 1, "distinct")
     return [
         _case({"s": s, "check": "max_size"}, max_size_s_plus_1(s), summary.max_size),
         _case(
@@ -269,22 +273,35 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def _guarded_cases(claim: Claim, params: dict) -> list[ClaimCase]:
+def _guarded_cases(claim: Claim, params: dict, fold: search.Fold) -> list[ClaimCase]:
     """The claim's cases for params; a builder that raises yields one FAIL case."""
     try:
-        return claim.cases(params)
+        return claim.cases(params, fold)
     except MemoryError:  # running out of memory refutes nothing
         raise
     except Exception as exc:  # a broken formula or enumerator fails the claim, not the run
         return [ClaimCase(params, "no exception", type(exc).__name__, False)]
 
 
-def run_claim(name: str, **ranges: int) -> VerificationReport:
+def shared_fold() -> search.Fold:
+    """A fresh memo over search.summarize_core, looked up at each fold: see `search._shared`.
+
+    Pass one to several run_claim calls of one request to fold each
+    unordered (s, t, filter) family once across them.
+    """
+    return search._shared(lambda s, t, part_filter: search.summarize_core(s, t, part_filter))
+
+
+def run_claim(name: str, *, fold: search.Fold | None = None, **ranges: int) -> VerificationReport:
     """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError.
 
     A range value other than None must be an exact int, not a bool.  A case
-    builder that raises, short of MemoryError, becomes a FAIL case.
+    builder that raises, short of MemoryError, becomes a FAIL case.  fold
+    gives the families' summaries, a fresh `shared_fold()` by default; a
+    fold shared with earlier claims answers their families from its memo,
+    so this report's seconds exclude them.
     """
+    fold = shared_fold() if fold is None else fold
     claim = CLAIMS[name]
     merged = dict(claim.defaults)
     for key, value in ranges.items():
@@ -301,7 +318,7 @@ def run_claim(name: str, **ranges: int) -> VerificationReport:
     described, param_list = claim.scope(**merged)
     if not param_list:
         raise ValueError(f"claim {name!r} has no cases in the range {described}")
-    cases = tuple(chain.from_iterable(_guarded_cases(claim, p) for p in param_list))
+    cases = tuple(chain.from_iterable(_guarded_cases(claim, p, fold) for p in param_list))
     return VerificationReport(
         claim=name,
         range=described,

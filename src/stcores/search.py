@@ -336,6 +336,29 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
     return CoreSummary(s, t, part_filter, count, max_size, top)
 
 
+Fold = Callable[[int, int, str], CoreSummary]
+
+
+def _shared(fold: Fold) -> Fold:
+    """fold, memoized by unordered pair and filter, for the one request that makes it.
+
+    The (s, t)- and (t, s)-cores are one family, so the memo folds
+    fold(min(s, t), max(s, t), part_filter) once and returns that summary,
+    its s <= t, for either order.  A fold that raises is not kept.  The
+    memo lives as long as the returned function, so build one per request.
+    """
+    memo: dict[tuple[int, int, str], CoreSummary] = {}
+
+    def shared(s: int, t: int, part_filter: str) -> CoreSummary:
+        key = (s, t, part_filter) if s <= t else (t, s, part_filter)
+        summary = memo.get(key)
+        if summary is None:
+            summary = memo[key] = fold(*key)
+        return summary
+
+    return shared
+
+
 def enumerate_core_bounded(
     s: int, t: int, part_filter: str, max_size: int
 ) -> EnumerationResult:

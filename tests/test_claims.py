@@ -1,8 +1,12 @@
+import contextlib
+import io
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from stcores import CLAIMS, Partition, run_claim
+from stcores import CLAIMS, Partition, run_claim, shared_fold
+from stcores import cli as cli_mod
 from stcores import claims as claims_mod
 from stcores import search as search_mod
 from stcores import sequences as sequences_mod
@@ -117,6 +121,91 @@ def test_mutated_formula_fails_its_claim(monkeypatch, name, module, attr, mutant
     corrupted = run_claim(name, **ranges)
     assert not corrupted.passed
     assert corrupted.mismatches
+
+
+# Enumerator-side meta-test: a corrupted fold must flip every claim that
+# reads the corrupted field, alone and inside one `verify all` whose claims
+# share one memo.  The fold is patched on `search`, where the claims look it up.
+
+FOLD_MUTATIONS = {
+    "count": (
+        lambda summary: replace(summary, count=summary.count + 1),
+        ("anderson", "conjecture2", "fib-distinct", "fib-general", "selfconjugate"),
+    ),
+    "max_size": (
+        lambda summary: replace(summary, max_size=summary.max_size + 1),
+        ("maxsize-s-s1", "maxsize-s-s2"),
+    ),
+}
+
+
+def _corrupt_fold(monkeypatch, field):
+    mutant, _ = FOLD_MUTATIONS[field]
+    original = search_mod.summarize_core
+    monkeypatch.setattr(
+        search_mod, "summarize_core", lambda s, t, f="all": mutant(original(s, t, f))
+    )
+
+
+def _verify_all_csv() -> tuple[int, list[str]]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_mod.main(["verify", "all", "--format", "csv"])
+    return code, out.getvalue().splitlines()[1:]
+
+
+@pytest.mark.parametrize(
+    "field,name",
+    [(field, name) for field, (_, names) in FOLD_MUTATIONS.items() for name in names],
+)
+def test_corrupted_fold_fails_the_claim(monkeypatch, field, name):
+    assert run_claim(name).passed
+    _corrupt_fold(monkeypatch, field)
+    corrupted = run_claim(name)
+    assert not corrupted.passed
+    assert corrupted.mismatches
+
+
+@pytest.mark.parametrize("field", sorted(FOLD_MUTATIONS))
+def test_corrupted_fold_fails_its_claims_in_verify_all(monkeypatch, field):
+    code, rows = _verify_all_csv()
+    assert code == 0 and all(row.endswith(",True") for row in rows)
+    _corrupt_fold(monkeypatch, field)
+    code, rows = _verify_all_csv()
+    assert code == 3
+    failed = {row.split(",")[1].split()[0] for row in rows if row.endswith(",False")}
+    assert failed == {"claim=" + name for name in FOLD_MUTATIONS[field][1]}
+
+
+def test_a_shared_fold_serves_later_claims_from_its_memo(monkeypatch):
+    calls = []
+    original = search_mod.summarize_core
+
+    def counted(s, t, part_filter="all"):
+        calls.append((s, t, part_filter))
+        return original(s, t, part_filter)
+
+    monkeypatch.setattr(search_mod, "summarize_core", counted)
+    fold = shared_fold()
+    assert run_claim("fib-distinct", fold=fold).passed
+    assert len(calls) == 20
+    # every (s, s+1) family with s <= 18 was folded by fib-distinct
+    assert run_claim("maxsize-s-s1", fold=fold).passed
+    assert len(calls) == 20
+    assert run_claim("maxsize-s-s1").passed  # the default fold is a fresh memo
+    assert len(calls) == 38
+
+
+def test_a_raising_fold_fails_every_case_that_reads_it(monkeypatch):
+    # a fold that raises is not memoized, so each case sharing its family fails too
+    def broken(s, t, part_filter="all"):
+        raise ArithmeticError("corrupted enumerator")
+
+    monkeypatch.setattr(search_mod, "summarize_core", broken)
+    fold = shared_fold()
+    reports = [run_claim(name, fold=fold) for name in ("fib-distinct", "maxsize-s-s1")]
+    assert [len(r.mismatches) for r in reports] == [20, 18]
+    assert all(c.got == "ArithmeticError" for r in reports for c in r.cases)
 
 
 def test_raising_case_builder_is_a_failed_case(monkeypatch):

@@ -16,6 +16,10 @@ from stcores.cli import main
 from stcores.partition import Partition
 
 GOLDEN = Path(__file__).parent / "data" / "distinct_core_counts_12x12.csv"
+TABLE_GOLDENS = {
+    f: Path(__file__).parent / "data" / f"{f}_core_counts_12x12.csv"
+    for f in ("all", "odd", "self_conjugate")
+}
 VERIFY_GOLDEN = Path(__file__).parent / "data" / "verify_all.csv"
 
 
@@ -317,6 +321,15 @@ class TestTable:
         assert code == 0
         assert out == GOLDEN.read_text()
 
+    @pytest.mark.parametrize("part_filter", sorted(TABLE_GOLDENS))
+    def test_other_filters_match_golden_byte_for_byte(self, capsys, part_filter):
+        # mirrored cells (s, t) and (t, s) come from one fold; the bytes stay these
+        code, out, _ = run_cli(
+            capsys, "table", "--max", "12", "--filter", part_filter, "--format", "csv",
+        )
+        assert code == 0
+        assert out == TABLE_GOLDENS[part_filter].read_text()
+
     def test_pretty_marks_infinity(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max", "4", "--filter", "distinct")
         assert code == 0
@@ -385,6 +398,51 @@ class TestTable:
         assert payload["cells"][0] == ["1", "1", "1", "1", "1"]
         assert payload["cells"][1][1] == "inf"
         assert payload["cells"][4][2] == "4"  # (5, 3)
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """The families summarize_core folds, by either the search or the cli name, in call order."""
+    calls = []
+    original = search_mod.summarize_core
+
+    def counted(s, t, part_filter="all"):
+        calls.append((s, t, part_filter))
+        return original(s, t, part_filter)
+
+    monkeypatch.setattr(search_mod, "summarize_core", counted)
+    monkeypatch.setattr(cli_mod, "summarize_core", counted)
+    return calls
+
+
+class TestOneFoldPerFamily:
+    """One verify or table request folds each unordered (s, t, filter) family once."""
+
+    @staticmethod
+    def _unordered(calls) -> set:
+        return {(min(s, t), max(s, t), f) for s, t, f in calls}
+
+    def test_verify_all_folds_110_families_once_each(self, capsys, fold_calls):
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "csv")
+        assert code == 0
+        assert out.encode() == VERIFY_GOLDEN.read_bytes()
+        assert len(fold_calls) == 110  # 145 folds when each claim folds its own
+        assert len(self._unordered(fold_calls)) == 110
+
+    def test_table_folds_46_families_once_each(self, capsys, fold_calls):
+        code, out, _ = run_cli(
+            capsys, "table", "--max", "12", "--filter", "distinct", "--format", "csv",
+        )
+        assert code == 0
+        assert out == GOLDEN.read_text()
+        assert len(fold_calls) == 46  # 91 folds when (s, t) and (t, s) are folded apart
+        assert len(self._unordered(fold_calls)) == 46
+
+    def test_nothing_outlives_a_request(self, capsys, fold_calls):
+        for _ in range(2):
+            assert run_cli(capsys, "verify", "all", "--format", "csv")[0] == 0
+        assert len(fold_calls) == 220
+        assert fold_calls[:110] == fold_calls[110:]
 
 
 class TestVerify:

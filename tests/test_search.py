@@ -445,6 +445,15 @@ class TestSummaryFold:
         else:
             assert size is None
 
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_mirrored_pairs_fold_alike(self, part_filter):
+        # the fact behind `_shared`'s key: the (s, t)- and (t, s)-cores are one family
+        for s in range(1, 13):
+            for t in range(s + 1, 13):
+                if gcd(s, t) == 1:
+                    want = _summary_of(summarize_core(s, t, part_filter))
+                    assert _summary_of(summarize_core(t, s, part_filter)) == want, (s, t)
+
     def test_errors_match_enumerate_core(self):
         for call in (summarize_core, search.family_size):
             with pytest.raises(InfiniteFamilyError):
@@ -454,6 +463,50 @@ class TestSummaryFold:
             assert "distinct" in str(err.value)
         with pytest.raises(ValueError):
             summarize_core(True, 2)
+
+
+class TestSharedFold:
+    """search._shared: one fold per unordered (s, t, filter) family, for as long as it lives."""
+
+    @staticmethod
+    def _counted():
+        calls = []
+
+        def fold(s, t, part_filter):
+            calls.append((s, t, part_filter))
+            return summarize_core(s, t, part_filter)
+
+        return calls, fold
+
+    def test_folds_each_unordered_family_once_as_min_max(self):
+        calls, fold = self._counted()
+        shared = search._shared(fold)
+        first = shared(7, 5, "distinct")
+        assert shared(5, 7, "distinct") is first and shared(7, 5, "distinct") is first
+        assert (first.s, first.t) == (5, 7)
+        assert shared(5, 7, "all").count == anderson_count(5, 7)
+        assert calls == [(5, 7, "distinct"), (5, 7, "all")]
+
+    def test_a_fresh_memo_folds_again(self):
+        calls, fold = self._counted()
+        search._shared(fold)(3, 4, "odd")
+        search._shared(fold)(4, 3, "odd")
+        assert calls == [(3, 4, "odd"), (3, 4, "odd")]
+
+    def test_a_fold_that_raises_is_not_kept(self):
+        calls = []
+
+        def flaky(s, t, part_filter):
+            calls.append((s, t))
+            if len(calls) == 1:
+                raise ArithmeticError("first fold fails")
+            return summarize_core(s, t, part_filter)
+
+        shared = search._shared(flaky)
+        with pytest.raises(ArithmeticError):
+            shared(3, 5, "all")
+        assert shared(5, 3, "all").count == anderson_count(3, 5)
+        assert calls == [(3, 5), (3, 5)]
 
 
 class TestEnumerateCoreBounded:
