@@ -121,17 +121,23 @@ def lambda_o(mu: CompositionC) -> Partition:
     return _build_o(_checked(mu))
 
 
+# The one text per shape, read by the inverses' checks below and by the
+# composed maps' checks inside their own loops.
+_NOT_DISTINCT = "expected a partition into distinct parts, got {}"
+_NOT_ODD = "expected a partition into odd parts, got {}"
+
+
 def _distinct_parts(lam: Partition) -> tuple[int, ...]:
     """lam's parts; raises ValueError unless they are distinct."""
     if not has_distinct_parts(lam):
-        raise ValueError(f"expected a partition into distinct parts, got {lam}")
+        raise ValueError(_NOT_DISTINCT.format(lam))
     return lam.parts
 
 
 def _odd_parts(lam: Partition) -> tuple[int, ...]:
     """lam's parts; raises ValueError unless they are odd."""
     if not has_odd_parts(lam):
-        raise ValueError(f"expected a partition into odd parts, got {lam}")
+        raise ValueError(_NOT_ODD.format(lam))
     return lam.parts
 
 
@@ -177,17 +183,22 @@ def distinct_to_odd(lam: Partition) -> Partition:
     with p_{k+1} = 0.  This is lambda_o(inverse_lambda_d(lam)): the gaps of
     lam are the runs of ones of the composition, and lambda_o turns those
     runs into these multiplicities (see the module docstring), so no
-    composition is built.  One step per part.  Raises ValueError unless lam
-    has distinct parts.
+    composition is built.  One step per part, which also checks the shape:
+    lam's parts are weakly decreasing, so they are distinct exactly when
+    no gap p_i - p_{i+1} - 1 is negative, the top one included.  Raises
+    ValueError unless lam has distinct parts.
     """
-    parts = _distinct_parts(lam)
+    parts = lam.parts
     if not parts:
         return Partition._trusted(())
-    image: list[int] = []
     odd = 2 * len(parts) - 1
-    above = parts[0] + 1  # the largest value gets one copy more than the gap rule gives
+    image = [odd]  # the largest value gets one copy more than its gap
+    above = parts[0]
     for p in parts[1:] + (0,):
-        image += (odd,) * (above - p - 1)
+        gap = above - p - 1
+        if gap < 0:
+            raise ValueError(_NOT_DISTINCT.format(lam))
+        image += (odd,) * gap
         above = p
         odd -= 2
     return Partition._trusted(tuple(image))
@@ -202,9 +213,11 @@ def odd_to_distinct(lam: Partition) -> Partition:
     This is lambda_d(inverse_lambda_o(lam)): the multiplicities of lam are
     the runs of ones of the composition, and lambda_d turns those runs into
     these gaps (see the module docstring), so no composition is built.  One
-    pass over lam, from its smallest part.
+    pass over lam, from its smallest part, which also checks the shape:
+    after closing every odd value below a part p, the current odd value is
+    p exactly when p is odd.
     """
-    parts = _odd_parts(lam)
+    parts = lam.parts
     if not parts:
         return Partition._trusted(())
     image: list[int] = []
@@ -215,6 +228,8 @@ def odd_to_distinct(lam: Partition) -> Partition:
             part += 1
             image.append(part)
             odd += 2
+        if odd != p:
+            raise ValueError(_NOT_ODD.format(lam))
         part += 1
     image.append(part)
     image.reverse()

@@ -20,9 +20,12 @@ def format_parts(parts: Iterable[int]) -> str:
     return "(" + ",".join(map(str, parts)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
-    """Weakly decreasing tuple of positive integers; () is the empty partition."""
+    """Weakly decreasing tuple of positive integers; () is the empty partition.
+
+    Slotted: an instance holds the one `parts` slot and no `__dict__`.
+    """
 
     parts: tuple[int, ...] = ()
 
@@ -56,14 +59,19 @@ class Partition:
           [1], a step only grows the largest part or appends a part at
           least as large, and the list is then reversed.
         * `bijection.distinct_to_odd`: runs of the odd values 2k - 1, ...,
-          3, 1 in that order, each run p_i - p_{i+1} - 1 >= 0 long (or
-          p_1 - p_2) because the input's parts are distinct.
+          3, 1 in that order, the first at least one long and each later
+          one p_i - p_{i+1} - 1 long; its own loop raises before a
+          negative run, that is on equal neighbours.
         * `bijection.odd_to_distinct`: running sums built from the bottom,
           each larger than the last (a closed part adds one, the top adds
-          the largest part's multiplicity, at least one), then reversed.
+          the largest part's multiplicity, at least one), then reversed;
+          its own loop raises on the first even part.
+
+        The slot is written through its own descriptor, as __post_init__
+        writes it through object.__setattr__, past the frozen __setattr__.
         """
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "parts", parts)
+        lam = _new(cls)
+        _set_parts(lam, parts)
         return lam
 
     @property
@@ -87,6 +95,10 @@ class Partition:
 
     def __str__(self) -> str:
         return format_parts(self.parts)
+
+
+_new = object.__new__
+_set_parts = Partition.parts.__set__
 
 
 def hook_length(lam: Partition, i: int, j: int) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from stcores import cli, search
+from stcores import betaset, bijection, cli, search
 from stcores.partition import Partition
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,11 +50,27 @@ def test_filters_are_the_cli_choices(command):
     assert all(callable(predicate) for predicate in search.FILTERS.values())
 
 
-def test_patched_names_exist():
+def test_patched_names_exist(monkeypatch):
     assert callable(search.canonical_key)
     assert callable(cli._render_table)
     assert callable(cli._listing) and callable(cli.summarize_core)
-    assert callable(Partition.__dict__.get("__post_init__"))
+    post_init = Partition.__dict__.get("__post_init__")
+    assert callable(post_init)
+    # partition.constructed patches __post_init__ on the class object, and
+    # dataclass(slots=True) replaces the class it decorates: every module
+    # must bind the one class that the patch reaches.
+    assert search.Partition is bijection.Partition is betaset.Partition is Partition
+    calls = []
+
+    def counting(self):
+        calls.append(self.parts)
+        post_init(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counting)
+    Partition((2, 1))
+    assert calls == [(2, 1)]
+    Partition._trusted((2, 1))
+    assert calls == [(2, 1)]
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from stcores import (
     lambda_d,
     lambda_o,
     odd_to_distinct,
+    partitions_of,
     perimeter,
 )
 
@@ -142,13 +143,34 @@ class TestComposedBijection:
         assert odd_to_distinct(Partition((3, 3))) == Partition((3, 1))
 
     def test_reject_wrong_shape(self):
-        # the fault may sit at the head or only at the tail of the parts
-        for parts in [(3, 3), (4, 2, 2)]:
-            with pytest.raises(ValueError, match="expected a partition into distinct parts"):
-                distinct_to_odd(Partition(parts))
-        for parts in [(2, 1), (5, 3, 2)]:
-            with pytest.raises(ValueError, match="expected a partition into odd parts"):
-                odd_to_distinct(Partition(parts))
+        # the fault may sit at the head, in the middle or only at the tail of
+        # the parts, and each map's own loop must give the inverses' message
+        for shape, bad, rejects in [
+            ("distinct", [(3, 3), (5, 3, 3, 1), (4, 2, 2)], (distinct_to_odd, inverse_lambda_d)),
+            ("odd", [(2,), (2, 1), (5, 4, 1), (5, 3, 2)], (odd_to_distinct, inverse_lambda_o)),
+        ]:
+            for parts in bad:
+                lam = Partition(parts)
+                for reject in rejects:
+                    with pytest.raises(ValueError) as info:
+                        reject(lam)
+                    assert str(info.value) == f"expected a partition into {shape} parts, got {lam}"
+
+    def test_reject_exactly_off_the_family(self):
+        # the predicates are the oracle for the checks inside the maps' loops
+        for n in range(15):
+            for lam in partitions_of(n):
+                for convert, fits in [
+                    (distinct_to_odd, has_distinct_parts),
+                    (odd_to_distinct, has_odd_parts),
+                ]:
+                    try:
+                        convert(lam)
+                    except ValueError:
+                        raised = True
+                    else:
+                        raised = False
+                    assert raised is not fits(lam), (convert.__name__, lam)
 
     def test_match_checked_composition_route(self):
         for m in range(0, 17):

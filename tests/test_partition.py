@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import weakref
+
 import pytest
 from hypothesis import example, given
 
@@ -47,6 +52,41 @@ class TestConstruction:
         assert Partition((2, 1)) == Partition((2, 1))
         assert Partition((2, 1)) != Partition((2,))
         assert len({Partition((2, 1)), Partition((2, 1))}) == 1
+
+
+class TestLayout:
+    def test_trusted_equals_checked(self):
+        for lam in all_upto(10):
+            fast = Partition._trusted(lam.parts)
+            assert fast == lam
+            assert hash(fast) == hash(lam)
+            assert repr(fast) == repr(lam)
+
+    def test_slotted_and_frozen(self):
+        lam = Partition([3, 1])
+        assert lam.parts == (3, 1)
+        assert not hasattr(lam, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lam.parts = (2,)
+        # a FrozenInstanceError, or on Python 3.11 a TypeError: the frozen
+        # __setattr__ that dataclasses writes misreads a slotted class there
+        with pytest.raises((AttributeError, TypeError)):
+            lam.extra = 1
+        with pytest.raises(TypeError):
+            weakref.ref(lam)
+        assert lam.parts == (3, 1) and not hasattr(lam, "extra")
+
+    def test_replace_runs_the_checks(self):
+        lam = Partition((3, 1))
+        assert dataclasses.replace(lam, parts=[4, 2]).parts == (4, 2)
+        with pytest.raises(ValueError):
+            dataclasses.replace(lam, parts=(1, 3))
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for lam in [Partition(()), Partition((3, 3, 1)), Partition._trusted((5, 1))]:
+            for copied in [pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)]:
+                assert type(copied) is Partition
+                assert copied == lam and hash(copied) == hash(lam)
 
 
 class TestHookLength:
