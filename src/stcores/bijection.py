@@ -33,7 +33,7 @@ inverses stay the literal construction, one step per composition entry.
 
 from __future__ import annotations
 
-from .partition import Partition, has_distinct_parts, has_odd_parts
+from .partition import Partition
 from .sequences import _require_int
 
 CompositionC = tuple[int, ...]
@@ -75,13 +75,14 @@ def compositions_of(m: int) -> list[CompositionC]:
     return [w + (1,) for w in words(m - 1)]
 
 
-def _build_d(mu: CompositionC) -> Partition:
-    """lambda_d for a composition already known to be valid.
+def lambda_d(mu: CompositionC) -> Partition:
+    """Distinct-parts partition assigned to mu; its perimeter is sum(mu).
 
     Parts are kept smallest first, so the largest is at the end: a 1 grows
     it and a 2 appends old largest + 1, which keeps the parts positive and
     strictly increasing, i.e. distinct once reversed.
     """
+    mu = _checked(mu)
     if not mu:
         return Partition._trusted(())
     parts = [1]  # the rightmost entry is a 1
@@ -93,13 +94,14 @@ def _build_d(mu: CompositionC) -> Partition:
     return Partition._trusted(tuple(reversed(parts)))
 
 
-def _build_o(mu: CompositionC) -> Partition:
-    """lambda_o for a composition already known to be valid.
+def lambda_o(mu: CompositionC) -> Partition:
+    """Odd-parts partition assigned to mu; its perimeter is sum(mu).
 
     Parts are kept smallest first: a 1 appends a copy of the largest and a
     2 grows it by two, so the parts stay odd, positive and weakly
     increasing, i.e. weakly decreasing once reversed.
     """
+    mu = _checked(mu)
     if not mu:
         return Partition._trusted(())
     parts = [1]
@@ -111,34 +113,10 @@ def _build_o(mu: CompositionC) -> Partition:
     return Partition._trusted(tuple(reversed(parts)))
 
 
-def lambda_d(mu: CompositionC) -> Partition:
-    """Distinct-parts partition assigned to mu; its perimeter is sum(mu)."""
-    return _build_d(_checked(mu))
-
-
-def lambda_o(mu: CompositionC) -> Partition:
-    """Odd-parts partition assigned to mu; its perimeter is sum(mu)."""
-    return _build_o(_checked(mu))
-
-
-# The one text per shape, read by the inverses' checks below and by the
-# composed maps' checks inside their own loops.
+# The one text per shape, read by every map's and inverse's check inside
+# its own loop.
 _NOT_DISTINCT = "expected a partition into distinct parts, got {}"
 _NOT_ODD = "expected a partition into odd parts, got {}"
-
-
-def _distinct_parts(lam: Partition) -> tuple[int, ...]:
-    """lam's parts; raises ValueError unless they are distinct."""
-    if not has_distinct_parts(lam):
-        raise ValueError(_NOT_DISTINCT.format(lam))
-    return lam.parts
-
-
-def _odd_parts(lam: Partition) -> tuple[int, ...]:
-    """lam's parts; raises ValueError unless they are odd."""
-    if not has_odd_parts(lam):
-        raise ValueError(_NOT_ODD.format(lam))
-    return lam.parts
 
 
 def inverse_lambda_d(lam: Partition) -> CompositionC:
@@ -148,11 +126,15 @@ def inverse_lambda_d(lam: Partition) -> CompositionC:
     by exactly 1 the last step must have been a stack (emit 2 and drop the
     largest part); otherwise it was a grow (emit 1 and decrement).  So a
     part p above a part q contributes p - q - 1 ones and then a 2, and the
-    smallest part p contributes p ones.
+    smallest part p contributes p ones.  Raises ValueError unless lam has
+    distinct parts: its parts are weakly decreasing, so a p no larger than
+    the q below it is a repeat.
     """
-    parts = _distinct_parts(lam)
+    parts = lam.parts
     mu: list[int] = []
     for p, q in zip(parts, parts[1:] + (0,)):
+        if p <= q:
+            raise ValueError(_NOT_DISTINCT.format(lam))
         mu.extend((1,) * (p - q - 1))
         mu.append(2 if q else 1)
     return tuple(mu)
@@ -165,11 +147,13 @@ def inverse_lambda_o(lam: Partition) -> CompositionC:
     one copy); otherwise the gap is at least 2 by oddness, so the last step
     grew the largest part by two (emit 2 and subtract 2).  So a part p
     above a part q, or above nothing with q = 1, contributes (p - q) / 2
-    twos and then a 1.
+    twos and then a 1.  Raises ValueError unless every part is odd.
     """
-    parts = _odd_parts(lam)
+    parts = lam.parts
     mu: list[int] = []
     for p, q in zip(parts, parts[1:] + (1,)):
+        if not p & 1:
+            raise ValueError(_NOT_ODD.format(lam))
         mu.extend((2,) * ((p - q) // 2))
         mu.append(1)
     return tuple(mu)

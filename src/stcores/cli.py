@@ -255,9 +255,10 @@ def _cmd_table(args) -> dict:
         raise ValueError(
             f"requested table exceeds the default cap of {TABLE_CAP}; rerun with --force"
         )
-    if args.inf_marker is not None and any(c in args.inf_marker for c in ",\r\n"):
+    if args.inf_marker is not None and any(c in args.inf_marker for c in ',"\r\n'):
         raise ValueError(
-            f"--inf-marker must not contain a comma or a line break, got {args.inf_marker!r}"
+            "--inf-marker must not contain a comma, a double quote or a line break, "
+            f"got {args.inf_marker!r}"
         )
     default = INF_TEXT if args.format == "text" else INF_CSV
     marker = default if args.inf_marker is None else args.inf_marker
@@ -453,7 +454,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_table.add_argument(
         "--inf-marker", metavar="TEXT",
-        help=f"marker for infinite cells (default: {INF_CSV!r} in csv, {INF_TEXT!r} in text)",
+        help=(
+            f"marker for infinite cells (default: {INF_CSV!r} in csv, {INF_TEXT!r} in text); "
+            "no comma, double quote or line break"
+        ),
     )
     p_table.set_defaults(func=_cmd_table)
 

@@ -48,16 +48,18 @@ class Partition:
         * `search._wrapped`, `summarize_core` and the perimeter
           enumerators, which wrap parts tuples sorted by `_result`: the
           walk's, as `search._ideals` puts a new top row x - ell, positive
-          and no shorter than the old one, on each partition, and
-          `search._arms_to_parts` turns such a mu into the rows
-          mu_i + d - 1, then mu's columns past its first; the perimeter
-          shapes, a largest part then a strictly decreasing combination of
-          smaller positive parts (`_distinct_shapes`) or an odd largest
-          part then a weakly decreasing multiset of odd parts no larger
-          than it (`_odd_shapes`); and `enumerate_core_bounded`'s checked ones.
-        * `bijection._build_d` / `_build_o` (lambda_d and lambda_o): from
-          [1], a step only grows the largest part or appends a part at
-          least as large, and the list is then reversed.
+          and no shorter than the old one, on each partition of a gap
+          walk, and wraps each self-conjugate one in a hook: a top row x,
+          then the old rows each one longer, at most x as the old top row
+          is at most x - 1, then ones, so the rows stay weakly decreasing
+          and positive; the perimeter shapes, a largest part then a
+          strictly decreasing combination of smaller positive parts
+          (`_distinct_shapes`) or an odd largest part then a weakly
+          decreasing multiset of odd parts no larger than it
+          (`_odd_shapes`); and `enumerate_core_bounded`'s checked ones.
+        * `bijection.lambda_d` / `lambda_o`, after checking the
+          composition: from [1], a step only grows the largest part or
+          appends a part at least as large, and the list is then reversed.
         * `bijection.distinct_to_odd`: runs of the odd values 2k - 1, ...,
           3, 1 in that order, the first at least one long and each later
           one p_i - p_{i+1} - 1 long; its own loop raises before a

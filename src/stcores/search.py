@@ -28,8 +28,8 @@ ideal is reached once, from the ideal without its largest element.  A node
 extends only by its addable gaps above its last element x: those it
 inherited, then x + min(s, t) if addable (`_ideals` says why), at most
 one per residue class mod min(s, t).  That bounds the work per ideal; an
-explicit stack holds each node's partition with its remaining candidates,
-so no recursion limit bounds the depth.
+explicit stack holds each node's partition with its remaining candidates
+and its last element, so no recursion limit bounds the depth.
 It yields partitions, not hook sets: adding x to an ideal of ell elements
 puts a new top row x - ell on the partition built so far, positive and no
 shorter than the old top row, as x is above ell and every chosen element.
@@ -46,8 +46,10 @@ positive and no x, x' in X (x = x' included) have x + x' in
 {s + 1, t + 1}; such x, x' are partners.  X lies in 1..(F+1)//2, since
 2*max(X) - 1 is the (1, 1) hook, a gap.  So the same rule walks the arm
 sets with top = (F+1)//2 and the floor 1, the closure holding only while
-positive, from the roots 1..min(s, t, top); it yields the partition mu
-whose beta-set is X, and `_arms_to_parts` turns mu into lam.  The
+positive, from the roots 1..min(s, t, top), and it yields lam itself:
+adding x to X, above every arm, wraps a hook of arm and leg x - 1 around
+the old lam, a new top row x, every old row one longer, then ones down
+to row x.  That fits, as the old lam has lam_1 <= x - 1 rows.  The
 partition-level predicates in FILTERS stay as the oracle for the bounded
 enumerator and the tests.
 
@@ -106,10 +108,13 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """Each order ideal the walk keeps, once, in lexicographic order, as its partition's parts.
 
     The module's rule, with top = F and floor 0 for gaps, (F+1)//2 and 1 for
-    the arm sets of `self_conjugate`, walked depth first, in pre-order.  Each
-    stack entry pairs a node's parts with its addable elements above its
-    last element, ascending, consumed from the front; popping the entry
-    unchooses that last element, the top row plus len(parts) - 1.  With
+    the arm sets of `self_conjugate`, walked depth first, in pre-order.  A
+    gap x puts the new top row x - len(below) on the parts below; an arm x
+    wraps the hook of arm and leg x - 1 around them (see the module
+    docstring).  Each stack entry holds a node's parts, its addable
+    elements above its last element, ascending, consumed from the front,
+    and that last element, which popping the entry unchooses; the root's
+    is 0, never chosen, as every candidate is at least 1.  With
     a, b = sorted((s, t)), choosing x unlocks at most x + a: x + b's other
     lower cover, x + b - a, lies above x, so it is unchosen and above the
     floor.  An inherited c has c - a chosen (below x) or below the floor
@@ -124,8 +129,8 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
                          for p in (s + 1, t + 1)
 
     Every candidate lies above the last element, so x - 1 can only be that
-    element, x's row is the new top row, and a partner below x is chosen
-    already.  The one invariant: a skip drops exactly the ideals that
+    element, a gap x's row is the new top row, and a partner below x is
+    chosen already.  The one invariant: a skip drops exactly the ideals that
     extend the current ideal plus x by larger elements, and its reason
     holds in all of them, since a larger element moves neither x's row
     nor anything below x.  A skipped x is not inherited by later siblings,
@@ -137,34 +142,35 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     top, floor = ((frob + 1) // 2, 1) if arm_sets else (frob, 0)
     twin_free = part_filter == "distinct"
     odd_parts = part_filter == "odd"
-    partners = (s + 1, t + 1) if arm_sets else ()
     a, b = sorted((s, t))
-    chosen = bytearray(top + 1)
-    stack = [((), list(range(1, min(a + floor, top + 1))))]  # y - a < floor
+    chosen = bytearray(top + 2)  # the root's slot 0 exists even at top = -1
+    stack = [((), list(range(1, min(a + floor, top + 1))), 0)]  # y - a < floor
     yield ()
     while stack:
-        below, candidates = stack[-1]
+        below, candidates, last = stack[-1]
         if not candidates:
             stack.pop()
-            if below:
-                chosen[below[0] + len(below) - 1] = 0
+            chosen[last] = 0
             continue
         x = candidates.pop(0)
-        if twin_free and chosen[x - 1]:
-            continue
-        part = x - len(below)
-        if odd_parts and not part & 1:
-            continue
-        if partners and any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in partners):
-            continue
-        parts = (part,) + below
+        if arm_sets:
+            if any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in (s + 1, t + 1)):
+                continue
+            parts = (x, *[p + 1 for p in below], *(1,) * (x - 1 - len(below)))
+        else:
+            if twin_free and chosen[x - 1]:
+                continue
+            part = x - len(below)
+            if odd_parts and not part & 1:
+                continue
+            parts = (part,) + below
         chosen[x] = 1
         yield parts
         rest = candidates[:]
         y = x + a
         if y <= top and (y - b < floor or chosen[y - b]):
             rest.append(y)
-        stack.append((parts, rest))
+        stack.append((parts, rest, x))
 
 
 FILTERS: dict[str, Callable[[Partition], bool]] = {
@@ -195,22 +201,6 @@ def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
     return None
 
 
-def _arms_to_parts(mu: tuple[int, ...]) -> tuple[int, ...]:
-    """The parts of the self-conjugate partition whose arms + 1 are the beta-set of mu.
-
-    With d = len(mu), the Durfee size, the diagonal rows are mu_i + d - 1,
-    the i-th largest arm plus i.  Row d + k below them has as many cells as
-    column k + 1 of mu, so the columns past mu_(i+1) up to mu_i give rows of i.
-    """
-    d = len(mu)
-    rows = [p + d - 1 for p in mu]
-    width = 1
-    for i in range(d, 0, -1):
-        rows += [i] * (mu[i - 1] - width)
-        width = mu[i - 1]
-    return tuple(rows)
-
-
 def _kept_parts(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """The parts of the (s, t)-cores passing the filter, in walk order, one pass.
 
@@ -219,8 +209,7 @@ def _kept_parts(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     """
     _predicate(part_filter)  # rejects unknown filters
     _require_walkable(s, t)
-    ideals = _ideals(s, t, part_filter)
-    return map(_arms_to_parts, ideals) if part_filter == "self_conjugate" else ideals
+    return _ideals(s, t, part_filter)
 
 
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:

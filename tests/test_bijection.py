@@ -157,12 +157,14 @@ class TestComposedBijection:
                     assert str(info.value) == f"expected a partition into {shape} parts, got {lam}"
 
     def test_reject_exactly_off_the_family(self):
-        # the predicates are the oracle for the checks inside the maps' loops
+        # the predicates are the oracle for the checks inside the maps' and inverses' loops
         for n in range(15):
             for lam in partitions_of(n):
                 for convert, fits in [
                     (distinct_to_odd, has_distinct_parts),
                     (odd_to_distinct, has_odd_parts),
+                    (inverse_lambda_d, has_distinct_parts),
+                    (inverse_lambda_o, has_odd_parts),
                 ]:
                     try:
                         convert(lam)
@@ -223,7 +225,7 @@ class TestComposedBijection:
         def forbidden(*args):
             raise AssertionError("the composed maps must not build the composition")
 
-        for name in ("inverse_lambda_d", "inverse_lambda_o", "_build_d", "_build_o"):
+        for name in ("inverse_lambda_d", "inverse_lambda_o", "lambda_d", "lambda_o"):
             monkeypatch.setattr(bijection, name, forbidden)
         for m in range(0, 13):
             family_d = enumerate_distinct_by_perimeter(m)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import stat
@@ -348,8 +350,9 @@ class TestTable:
         )
         assert code == 0
         assert ",-," in out and "inf" not in out
+        assert [len(row) for row in csv.reader(io.StringIO(out))] == [5] * 5
 
-    @pytest.mark.parametrize("marker", [",", "a\nb", "\r"])
+    @pytest.mark.parametrize("marker", [",", "a\nb", "\r", '"', 'in"f'])
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_inf_marker_that_breaks_the_grid_exit_1(self, capsys, marker, fmt):
         code, out, err = run_cli(

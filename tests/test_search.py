@@ -34,7 +34,6 @@ from stcores.partition import conjugate
 from stcores.search import (
     FILTERS,
     CoreSummary,
-    _arms_to_parts,
     _ideals,
     _kept_parts,
     _listing,
@@ -292,11 +291,13 @@ class TestBetaSetPath:
 
     @pytest.mark.parametrize("part_filter", sorted(FILTERS))
     def test_walk_order_is_lexicographic(self, part_filter):
-        # pre-order over ascending frames: appending x + min(s, t) relies on it
+        # pre-order over ascending frames: appending x + min(s, t) relies on it;
+        # self_conjugate walks arm sets, so its chosen sets are read off as arms
+        chosen = _arm_sets if part_filter == "self_conjugate" else _betas
         for s in range(1, 13):
             for t in range(1, 13):
                 if gcd(s, t) == 1:
-                    walked = _betas(_ideals(s, t, part_filter))
+                    walked = chosen(_ideals(s, t, part_filter))
                     assert walked == sorted(walked), (s, t)
 
     def test_self_conjugate_beta_predicate_exhaustive(self):
@@ -334,21 +335,36 @@ class TestBetaSetPath:
     @pytest.mark.parametrize("part_filter", sorted(FILTERS))
     def test_walk_yields_checked_partitions(self, part_filter):
         # enumerate_core and summarize_core skip Partition's checks on these tuples;
-        # _kept_parts differs from the walk only for self_conjugate
-        walks = (_ideals, _kept_parts) if part_filter == "self_conjugate" else (_ideals,)
+        # _kept_parts returns the walk itself for every filter
         for s in range(1, 13):
             for t in range(1, 13):
                 if gcd(s, t) == 1:
-                    for walk in walks:
-                        for parts in walk(s, t, part_filter):
-                            assert type(parts) is tuple and Partition(parts).parts == parts
+                    for parts in _kept_parts(s, t, part_filter):
+                        assert type(parts) is tuple and Partition(parts).parts == parts
 
-    def test_arms_to_parts_exhaustive(self):
+    def test_self_conjugate_walk_yields_the_cores(self):
+        # each yield is the core itself, not a partition built from its arms
+        for s in range(1, 13):
+            for t in range(1, 13):
+                if gcd(s, t) == 1:
+                    for parts in _ideals(s, t, "self_conjugate"):
+                        lam = Partition(parts)
+                        assert conjugate(lam) == lam, (s, t, parts)
+
+    def test_hook_wrapping_exhaustive(self):
+        # the walk's arm step: a new largest arm x wraps a hook of arm and leg
+        # x - 1 around lam, so adding the arms in ascending order from () rebuilds
+        # every self-conjugate partition; the walk's own code is checked by
+        # test_self_conjugate_walk_matches_post_filter and the test above
         for lam in brute_partitions_upto(24):
             if conjugate(lam) != lam:
                 continue
-            arms = [part - i + 1 for i, part in enumerate(lam.parts, start=1) if part >= i]
-            assert _arms_to_parts(from_beta(arms).parts) == lam.parts, lam
+            (arms,) = _arm_sets([lam.parts])
+            parts: tuple[int, ...] = ()
+            for x in arms:
+                assert len(parts) <= x - 1
+                parts = (x, *[p + 1 for p in parts], *(1,) * (x - 1 - len(parts)))
+            assert parts == lam.parts, lam
 
     def test_recursion_limit_untouched(self):
         limit = sys.getrecursionlimit()
@@ -362,6 +378,14 @@ class TestBetaSetPath:
 def _betas(walk) -> list[tuple[int, ...]]:
     """The ascending beta-sets of the walked parts tuples, each checked by Partition."""
     return [tuple(sorted(to_beta(Partition(parts)))) for parts in walk]
+
+
+def _arm_sets(walk) -> list[tuple[int, ...]]:
+    """The ascending arm sets {lam_i - i + 1 : lam_i >= i} of the walked parts tuples."""
+    return [
+        tuple(sorted(p - i + 1 for i, p in enumerate(parts, start=1) if p >= i))
+        for parts in walk
+    ]
 
 
 def _summary_of(result) -> tuple:
