@@ -2,10 +2,12 @@
 
 A claim produces one case per checked identity; a report collects the
 cases, an overall verdict, and the wall-clock time.  The enumeration side
-is always an exhaustive search from `search` (the summary fold where only
-counts, max sizes and witnesses are compared; the unsorted perimeter shapes
-where only their number is); the expected side is a formula, so
-corrupting either one makes the claim fail loudly.  The case builders take
+is always an exact search from `search`: `summarize_core` where only
+counts, max sizes and witnesses are compared (the residue-height DP for
+`all` and for `distinct` (s, t) with max = +-1 mod min, one fold over the
+walk for every other family), the unsorted perimeter shapes where only
+their number is.  The expected side is a formula, so corrupting either
+one makes the claim fail loudly.  The case builders take
 the fold as an argument, by default a `shared_fold()`, a memo over
 `search.summarize_core`; one request passes the same one to every claim it
 runs, so it folds each unordered (s, t, filter) family once.  A claim's

@@ -463,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", parents=[common],
-        help="check a counting claim by exhaustive enumeration",
+        help="check a counting claim by exact search",
     )
     p_verify.add_argument(
         "claim", choices=sorted(CLAIMS) + ["all"], metavar="claim",

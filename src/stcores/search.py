@@ -1,4 +1,4 @@
-"""Exhaustive enumerators for simultaneous core partitions.
+"""Exact enumerators and counters for simultaneous core partitions.
 
 Everything here is exact: these are the independent engines that the
 closed forms in `sequences` get checked against.
@@ -11,10 +11,12 @@ chain down to 0, which is impossible).  So these sets live inside the gaps
 of the numerical semigroup generated by s and t -- there are
 (s-1)(t-1)/2 gaps, the largest being s*t - s - t -- and they are exactly
 the down-closed subsets of the poset on the gaps in which x sits above
-x - s and x - t.  `gap_poset` is the public listing of the gaps: with
-a, b = min(s, t), max(s, t), the least member of <s, t> congruent to
-j*b mod a is j*b (0 <= j < a), so it lists each residue class as the chain
-j*b - a, j*b - 2a, ... while positive.  The walk does not read it.
+x - s and x - t.  With a, b = min(s, t), max(s, t), the least member of
+<s, t> congruent to j*b mod a is j*b (0 <= j < a), so class j, the gaps
+congruent to r_j = j*b mod a, is the chain r_j, r_j + a, ..., j*b - a of
+g_j = j*b // a gaps.  `_residue_classes` tables (r_j, g_j) for j = 1..a-1;
+`gap_poset`, the public listing of the gaps, and the height DP below read
+it.  The walk does not.
 
 The walk needs no gap list, only one rule.  With top = F = s*t - s - t,
 y is addable to an ideal once y <= top and each of y - s, y - t is chosen
@@ -53,14 +55,35 @@ to row x.  That fits, as the old lam has lam_1 <= x - 1 rows.  The
 partition-level predicates in FILTERS stay as the oracle for the bounded
 enumerator and the tests.
 
-`summarize_core` folds over the kept parts tuples: it counts them and
-keeps only those of the largest sum, its witnesses.  `_result` is the one
-canonical sort, for listings, witnesses and perimeter shapes alike: one
-bucket per size, each sorted once, the buckets taken by ascending size,
-so the last bucket is the listing's tail and gives its largest size and
-first witness.  The CLI renders these tuples; only the library entry
-points wrap them, unchecked, as partitions.  Both read the same walk, so
-the listing stays a second route to every count.
+`summarize_core` answers `all`, and `distinct` when b = +-1 mod a, by the
+residue-height DP (Anderson 2002), which counts the ideals without
+walking them.  An ideal meets class j in a bottom segment of height h_j.
+Closure under -a holds inside a class.  Under -b it links class j to
+class j - 1 only: r_j - b = r_{j-1} - (g_j - g_{j-1})*a, so the top
+r_j + (h-1)*a of a segment of height h needs element h - (g_j - g_{j-1})
+of class j - 1, or nothing when that is below 1, where the top less b is
+negative.  So the ideals are the height paths with 0 <= h_j <= g_j and
+h_{j-1} >= h_j - (g_j - g_{j-1}), from h_0 = 0.  When b = +-1 mod a,
+r_j = +-j mod a: the residues r and r + 1 lie in consecutive classes
+(residue 0 holds no gap), and an ideal holds twins x - 1, x exactly when
+two consecutive classes are both non-empty, as then their bottoms are
+twins.  `distinct` forbids that; on other pairs twin residues lie in
+classes far apart, beyond one height of state, so those families walk.
+Class j adds h_j to ell and h_j*r_j + a*C(h_j, 2) to the sum of beta, and
+the size is that sum less C(ell, 2).  So each class keeps the number of
+paths per h_j, and their largest sum of beta per (h_j, ell); backtracking
+every path of the largest size gives the witnesses: a path's gaps,
+ascending, x_0 < x_1 < ..., are a beta-set with parts x_i - i.
+
+Every other family goes to `_walk_summary`, one fold over the kept parts
+tuples: it counts them and keeps only those of the largest sum, its
+witnesses.  `_result` is the one canonical sort, for listings, witnesses
+and perimeter shapes alike: one bucket per size, each sorted once, the
+buckets taken by ascending size, so the last bucket is the listing's tail
+and gives its largest size and first witness.  The CLI renders these
+tuples; only the library entry points wrap them, unchecked, as
+partitions.  Every listing walks, so it stays a second route to every
+count the DP gives.
 """
 
 from __future__ import annotations
@@ -97,11 +120,20 @@ def _require_walkable(s: int, t: int) -> None:
         )
 
 
+def _residue_classes(s: int, t: int) -> list[tuple[int, int]]:
+    """(r_j, g_j) for j = 1..a-1: class j holds the g_j gaps r_j, r_j + a, ..., j*b - a.
+
+    With a, b = sorted((s, t)), r_j = j*b mod a and g_j = j*b // a.
+    """
+    a, b = sorted((s, t))
+    return [(j * b % a, j * b // a) for j in range(1, a)]
+
+
 def gap_poset(s: int, t: int) -> tuple[int, ...]:
     """The gaps of <s, t>, ascending, listed by residue class mod min(s, t)."""
     _require_walkable(s, t)
-    a, b = sorted((s, t))
-    return tuple(sorted(j * b - k * a for j in range(1, a) for k in range(1, j * b // a + 1)))
+    a = min(s, t)
+    return tuple(sorted(r + k * a for r, g in _residue_classes(s, t) for k in range(g)))
 
 
 def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
@@ -304,16 +336,31 @@ class CoreSummary:
 
 
 def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
-    """enumerate_core's count, max_size and max_size_witnesses, by one fold.
+    """enumerate_core's count, max_size and max_size_witnesses, without the listing.
 
-    Same arguments and errors as enumerate_core.  Each kept core is
-    counted and sized as the sum of its parts; only the parts of the
-    largest ones are kept, then sorted.
+    Same arguments and errors as enumerate_core.  `all`, and `distinct`
+    when max(s, t) = +-1 mod min(s, t), are answered by the residue-height
+    DP (`_height_summary`); every other family by one fold over the walk
+    (`_walk_summary`).  Both give the witnesses canonically ordered.
+    """
+    _predicate(part_filter)  # rejects unknown filters
+    _require_walkable(s, t)
+    a, b = sorted((s, t))
+    if part_filter == "all" or (part_filter == "distinct" and b % a in (1, a - 1)):
+        return _height_summary(s, t, part_filter)
+    return _walk_summary(s, t, part_filter)
+
+
+def _walk_summary(s: int, t: int, part_filter: str) -> CoreSummary:
+    """summarize_core by one fold over the walk, for any walkable family the caller checked.
+
+    Each kept core is counted and sized as the sum of its parts; only the
+    parts of the largest ones are kept, then sorted.
     """
     count = 0
     max_size = -1
     witnesses: list[tuple[int, ...]] = []
-    for parts in _kept_parts(s, t, part_filter):
+    for parts in _ideals(s, t, part_filter):
         count += 1
         size = sum(parts)
         if size > max_size:
@@ -323,6 +370,82 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
             witnesses.append(parts)
     top = tuple(map(Partition._trusted, _result(witnesses).parts))
     return CoreSummary(s, t, part_filter, count, max_size, top)
+
+
+def _merged(rows: list[dict[int, int]]) -> dict[int, int]:
+    """The rows joined by ell, as a new dict, keeping the larger best sum of beta."""
+    out = dict(rows[0])
+    for row in rows[1:]:
+        for ell, best in row.items():
+            if best > out.get(ell, -1):
+                out[ell] = best
+    return out
+
+
+def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
+    """summarize_core by the class heights (module docstring), for a pair the caller checked.
+
+    `distinct` is exact only when max(s, t) = +-1 mod min(s, t).  Per
+    height h of a class: the number of paths ending there, and a row of
+    their largest sum of beta per ell, drawn from the previous class's
+    heights h_prev >= h - slack (only 0 for a twin-free h > 0), merged.
+    """
+    twin_free = part_filter == "distinct"
+    a = min(s, t)
+    classes = _residue_classes(s, t)
+    paths = [1]
+    rows = [{0: 0}]  # class 0, residue 0, holds no gap
+    steps = []  # per class: r, slack and the previous class's rows
+    g_prev = 0
+    for r, g in classes:
+        slack = g - g_prev  # h is admissible above h_prev >= h - slack
+        g_prev = g
+        steps.append((r, slack, rows))
+        if twin_free:
+            paths = [sum(paths)] + paths[:1] * slack
+            sources = [_merged(rows)] + rows[:1] * slack
+        else:
+            tails = [paths[-1]]  # tails[k], reach[k]: the heights k and above, merged
+            reach = [rows[-1]]
+            for n, row in zip(paths[-2::-1], rows[-2::-1]):
+                tails.append(tails[-1] + n)
+                reach.append(_merged([reach[-1], row]))
+            tails.reverse()
+            reach.reverse()
+            paths = (tails[:1] * slack + tails)[: g + 1]
+            sources = reach[:1] * slack + reach
+        rows = [sources[0]]
+        for h in range(1, len(paths)):
+            gain = h * r + a * (h * (h - 1) // 2)
+            rows.append({ell + h: best + gain for ell, best in sources[h].items()})
+    max_size = -1
+    stack: list[tuple] = []
+    for h, row in enumerate(rows):
+        for ell, best in row.items():
+            size = best - ell * (ell - 1) // 2
+            if size > max_size:
+                max_size, stack = size, []
+            if size == max_size:
+                stack.append((len(classes), h, ell, best, ()))
+    witnesses = []
+    while stack:
+        j, h, ell, best, above = stack.pop()  # above: (h_{j+1}, (h_{j+2}, ...)), () past the last
+        if not j:
+            gaps = []
+            for r, _ in classes:
+                h, above = above
+                gaps += range(r, r + h * a, a)
+            gaps.sort()
+            witnesses.append(tuple([x - i for i, x in enumerate(gaps)][::-1]))
+            continue
+        r, slack, rows = steps[j - 1]
+        best -= h * r + a * (h * (h - 1) // 2)
+        ell -= h
+        for h_prev in range(max(0, h - slack), 1 if twin_free and h else len(rows)):
+            if rows[h_prev].get(ell) == best:
+                stack.append((j - 1, h_prev, ell, best, (h, above)))
+    top = tuple(map(Partition._trusted, _result(witnesses).parts))
+    return CoreSummary(s, t, part_filter, sum(paths), max_size, top)
 
 
 Fold = Callable[[int, int, str], CoreSummary]

@@ -90,3 +90,12 @@ def test_pair_without_gaps_is_not_sized_by_t(tmp_path, part_filter):
     )
     assert proc.returncode == 0, proc.stderr
     assert "count: 1" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("claim", ["fib-distinct", "maxsize-s-s1"])
+def test_verify_past_the_walk_passes(tmp_path, claim):
+    # (40, 41) holds F(41) = 165,580,141 distinct cores: the residue-height DP answers it
+    proc = run_process("verify", claim, "--max-s", "40", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
+    assert "Traceback" not in proc.stderr

@@ -533,6 +533,66 @@ class TestSharedFold:
         assert calls == [(3, 5), (3, 5)]
 
 
+def _height_route(s: int, t: int) -> bool:
+    """max(s, t) = +-1 mod min(s, t): the pairs whose `distinct` family the DP answers."""
+    a, b = sorted((s, t))
+    return b % a in (1, a - 1)
+
+
+COPRIME_17 = [(s, t) for s in range(1, 18) for t in range(1, 18) if gcd(s, t) == 1]
+
+
+class TestHeightSummary:
+    """search._height_summary, the residue-height DP, against the walk fold `_walk_summary`."""
+
+    @pytest.mark.parametrize(
+        "s,t", [(s, t) for s, t in COPRIME_17 if _height_route(s, t)], ids=str
+    )
+    def test_distinct_matches_walk(self, s, t):
+        # every coprime s, t <= 17, both orders, with t = +-1 mod s or s = +-1 mod t
+        want = search._walk_summary(s, t, "distinct")
+        assert search._height_summary(s, t, "distinct") == want
+
+    @pytest.mark.parametrize(
+        "s,t", [(s, t) for s, t in COPRIME_17 if (s - 1) * (t - 1) <= 150], ids=str
+    )
+    def test_all_matches_walk(self, s, t):
+        assert search._height_summary(s, t, "all") == search._walk_summary(s, t, "all")
+
+    def test_edges_without_classes(self):
+        # min(s, t) = 1 has no class and min(s, t) = 2 one: t odd is +-1 mod 2
+        for s, t in [(10**12, 1), (1, 1), (2, 1), (2, 3), (17, 2)]:
+            for part_filter in ("all", "distinct"):
+                want = search._walk_summary(s, t, part_filter)
+                assert search._height_summary(s, t, part_filter) == want, (s, t, part_filter)
+        assert summarize_core(10**12, 1, "all") == CoreSummary(
+            10**12, 1, "all", 1, 0, (Partition(()),)
+        )
+
+    def test_routing(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(search, "_ideals", no_walk)
+        # F(41) = 165,580,141 cores: far past the walk, two largest of size floor(40*41/6)
+        summary = summarize_core(40, 41, "distinct")
+        assert summary.count == fibonacci(41)
+        assert summary.max_size == 273 and len(summary.max_size_witnesses) == 2
+        assert summarize_core(41, 40, "distinct").max_size_witnesses == summary.max_size_witnesses
+        assert summarize_core(13, 14, "all").count == anderson_count(13, 14)
+        # 17 = 2 mod 15: not a +-1 pair, so distinct walks; odd and self_conjugate always walk
+        for part_filter, s, t in [("distinct", 15, 17), ("odd", 3, 4), ("self_conjugate", 3, 4)]:
+            with pytest.raises(AssertionError, match="the walk started"):
+                summarize_core(s, t, part_filter)
+
+    def test_routed_witnesses_are_checked_partitions(self):
+        for s, t, part_filter in [(40, 41, "distinct"), (20, 21, "all"), (13, 27, "distinct")]:
+            for lam in summarize_core(s, t, part_filter).max_size_witnesses:
+                assert Partition(lam.parts) == lam
+                assert is_t_core(lam, s) and is_t_core(lam, t)
+                assert part_filter == "all" or has_distinct_parts(lam)
+
+
 class TestEnumerateCoreBounded:
     def test_non_coprime_staircases(self):
         result = enumerate_core_bounded(2, 4, "all", 6)
