@@ -186,10 +186,15 @@ def _count_sizes_upto(bound: int) -> int:
 
 
 def _enumerate_text(p: dict) -> str:
+    """The listing as text, its partition lines one join with no Python frame per line.
+
+    The listing is never empty: the empty partition is in every family.
+    """
     header = f"({p['s']},{p['t']})-core partitions, filter {p['filter']}"
     if "bound" in p:
         header += f" [partial: sizes <= {p['bound']} only]"
     part_str = _StrCache().__getitem__
+    lines = ")\n  (".join(map(",".join, map(partial(map, part_str), p["partitions"])))
     return "\n".join([
         header,
         f"count: {p['count']}",
@@ -197,15 +202,17 @@ def _enumerate_text(p: dict) -> str:
         "max-size witnesses: "
         + " ".join(f"({','.join(map(part_str, w))})" for w in p["witnesses"]),
         "partitions:",
-        *(f"  ({','.join(map(part_str, parts))})" for parts in p["partitions"]),
+        f"  ({lines})",
     ])
 
 
 def _enumerate_csv(p: dict) -> str:
+    """The listing as csv, its rows built by joins with no Python frame per row."""
     part_str = _StrCache().__getitem__
-    return "\n".join(["size,parts"] + [
-        f"{sum(parts)},{' '.join(map(part_str, parts))}" for parts in p["partitions"]
-    ])
+    listing = p["partitions"]
+    sizes = map(part_str, map(sum, listing))
+    parts = map(" ".join, map(partial(map, part_str), listing))
+    return "\n".join(["size,parts", *map(",".join, zip(sizes, parts))])
 
 
 def _enumerate_json(p: dict) -> str:

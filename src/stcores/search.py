@@ -29,19 +29,21 @@ The walk builds each ideal by adding gaps in ascending order, so every
 ideal is reached once, from the ideal without its largest element.  A node
 extends only by its addable gaps above its last element x: those it
 inherited, then x + min(s, t) if addable (`_ideals` says why), at most
-one per residue class mod min(s, t).  That bounds the work per ideal; an
-explicit stack holds each node's partition with its remaining candidates
-and its last element, so no recursion limit bounds the depth.
-It yields partitions, not hook sets: adding x to an ideal of ell elements
-puts a new top row x - ell on the partition built so far, positive and no
-shorter than the old top row, as x is above ell and every chosen element.
+one per residue class mod min(s, t).  That bounds the work per ideal; the
+ancestors sit on an explicit stack, so no recursion limit bounds the
+depth, and a leaf, a node with no candidates, is yielded but never
+pushed.  It yields (size, parts), not hook sets: adding x to an ideal of
+ell elements puts a new top row x - ell on the partition built so far,
+positive and no shorter than the old top row, as x is above ell and
+every chosen element; the size is carried along, so no core is summed.
 
 Every filter is decided inside the walk, so it yields only kept ideals.
-Each is one test on a popped candidate x; when it holds, the walk skips
-x and every ideal built on it.  The tests, tabled in `_ideals`: x - 1
-chosen for `distinct` (two consecutive first-column hooks are two equal
-parts), an even new row for `odd`, and a chosen partner for
-`self_conjugate`.  That filter walks X = {lam_i - i + 1 : lam_i >= i},
+It drops a candidate x with every ideal built on it (`_ideals` tables
+why): x - 1 chosen for `distinct` (two consecutive first-column hooks are
+two equal parts), an even new row for `odd`, and a chosen partner for
+`self_conjugate`.  As x - 1 can only be the last element, node x drops
+x + 1 as it builds its candidates, and `distinct` tests nothing when it
+pops one.  `self_conjugate` walks X = {lam_i - i + 1 : lam_i >= i},
 the Frobenius arms plus one (Ford, Mai & Sze 2009): lam is an
 (s, t)-core exactly when X is closed under subtracting s and t while
 positive and no x, x' in X (x = x' included) have x + x' in
@@ -51,9 +53,9 @@ sets with top = (F+1)//2 and the floor 1, the closure holding only while
 positive, from the roots 1..min(s, t, top), and it yields lam itself:
 adding x to X, above every arm, wraps a hook of arm and leg x - 1 around
 the old lam, a new top row x, every old row one longer, then ones down
-to row x.  That fits, as the old lam has lam_1 <= x - 1 rows.  The
-partition-level predicates in FILTERS stay as the oracle for the bounded
-enumerator and the tests.
+to row x, 2x - 1 cells.  That fits, as the old lam has lam_1 <= x - 1
+rows.  The partition-level predicates in FILTERS stay as the oracle for
+the bounded enumerator and the tests.
 
 `summarize_core` answers `all`, and `distinct` when b = +-1 mod a, by the
 residue-height DP (Anderson 2002), which counts the ideals without
@@ -75,10 +77,11 @@ paths per h_j, and their largest sum of beta per (h_j, ell); backtracking
 every path of the largest size gives the witnesses: a path's gaps,
 ascending, x_0 < x_1 < ..., are a beta-set with parts x_i - i.
 
-Every other family goes to `_walk_summary`, one fold over the kept parts
-tuples: it counts them and keeps only those of the largest sum, its
-witnesses.  `_result` is the one canonical sort, for listings, witnesses
-and perimeter shapes alike: one bucket per size, each sorted once, the
+Every other family goes to `_walk_summary`, one fold over the walk's
+(size, parts) pairs: it counts them and keeps only those of the largest
+size, as the walk gives it, its witnesses.  `_result` is the one canonical
+sort, for listings, witnesses and perimeter shapes alike, over
+(size, parts) pairs: one bucket per given size, each sorted once, the
 buckets taken by ascending size, so the last bucket is the listing's tail
 and gives its largest size and first witness.  The CLI renders these
 tuples; only the library entry points wrap them, unchecked, as
@@ -136,25 +139,27 @@ def gap_poset(s: int, t: int) -> tuple[int, ...]:
     return tuple(sorted(r + k * a for r, g in _residue_classes(s, t) for k in range(g)))
 
 
-def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
-    """Each order ideal the walk keeps, once, in lexicographic order, as its partition's parts.
+def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each order ideal the walk keeps, once, in lexicographic order, as its core's (size, parts).
 
     The module's rule, with top = F and floor 0 for gaps, (F+1)//2 and 1 for
     the arm sets of `self_conjugate`, walked depth first, in pre-order.  A
-    gap x puts the new top row x - len(below) on the parts below; an arm x
-    wraps the hook of arm and leg x - 1 around them (see the module
-    docstring).  Each stack entry holds a node's parts, its addable
-    elements above its last element, ascending, consumed from the front,
-    and that last element, which popping the entry unchooses; the root's
-    is 0, never chosen, as every candidate is at least 1.  With
-    a, b = sorted((s, t)), choosing x unlocks at most x + a: x + b's other
-    lower cover, x + b - a, lies above x, so it is unchosen and above the
-    floor.  An inherited c has c - a chosen (below x) or below the floor
-    (below 1 <= x), so c < x + a: the append keeps the candidates
-    ascending, with at most one per residue class mod a.  A filter is one
-    test on the popped candidate x; when it holds, x is skipped:
+    gap x puts the new top row x - len(below) on the parts below, adding as
+    many cells; an arm x wraps the hook of arm and leg x - 1 around them,
+    2x - 1 cells.  A node is (parts, candidates, last, size): its addable
+    elements above its last element, ascending, consumed from the front.
+    The current node lives in locals, the stack holds its ancestors, and
+    leaving a node unchooses its last element; the root's, 0, is never
+    chosen.  With a, b = sorted((s, t)), choosing x unlocks at most x + a:
+    x + b's other lower cover, x + b - a, lies above x, so it is unchosen
+    and above the floor.  An inherited c has c - a chosen (below x) or
+    below the floor (below 1 <= x), so c < x + a: the append keeps the
+    candidates ascending, at most one per residue class mod a.  A node
+    with no candidates is a leaf: yielded, but neither chosen nor entered,
+    as only its descendants would read the mark.  A filter drops x with
+    every ideal built on it:
 
-        filter           skip x when                  what stays
+        filter           drop x when                  what stays
         distinct         x - 1 is chosen              the twins x - 1, x
         odd              x - len(below) is even       that even part
         self_conjugate   p - x is x or chosen,        x and its partner
@@ -162,12 +167,14 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
 
     Every candidate lies above the last element, so x - 1 can only be that
     element, a gap x's row is the new top row, and a partner below x is
-    chosen already.  The one invariant: a skip drops exactly the ideals that
+    chosen already.  So node x drops x + 1 from the front of its
+    candidates as it builds them, and `odd` and `self_conjugate` test each
+    popped x.  The one invariant: a drop removes exactly the ideals that
     extend the current ideal plus x by larger elements, and its reason
-    holds in all of them, since a larger element moves neither x's row
-    nor anything below x.  A skipped x is not inherited by later siblings,
-    which lie above it; the children of smaller candidates still inherit it
-    and test it afresh.  Every other filter name walks every ideal.
+    holds in all of them, since a larger element moves neither x's row nor
+    anything below x.  A dropped x is not inherited by later siblings,
+    which lie above it; the children of smaller candidates still inherit
+    it and test it afresh.  Every other filter name walks every ideal.
     """
     arm_sets = part_filter == "self_conjugate"
     frob = s * t - s - t
@@ -176,33 +183,40 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
     odd_parts = part_filter == "odd"
     a, b = sorted((s, t))
     chosen = bytearray(top + 2)  # the root's slot 0 exists even at top = -1
-    stack = [((), list(range(1, min(a + floor, top + 1))), 0)]  # y - a < floor
-    yield ()
-    while stack:
-        below, candidates, last = stack[-1]
+    # the roots: each y with y - a < floor
+    below, candidates, last, size = (), list(range(1, min(a + floor, top + 1))), 0, 0
+    stack: list[tuple] = []
+    yield 0, ()
+    while True:
         if not candidates:
-            stack.pop()
+            if not stack:
+                return
             chosen[last] = 0
+            below, candidates, last, size = stack.pop()
             continue
         x = candidates.pop(0)
         if arm_sets:
             if any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in (s + 1, t + 1)):
                 continue
             parts = (x, *[p + 1 for p in below], *(1,) * (x - 1 - len(below)))
+            grown = size + 2 * x - 1
         else:
-            if twin_free and chosen[x - 1]:
-                continue
             part = x - len(below)
             if odd_parts and not part & 1:
                 continue
             parts = (part,) + below
-        chosen[x] = 1
-        yield parts
-        rest = candidates[:]
+            grown = size + part
+        yield grown, parts
+        rest = (
+            candidates[1:] if twin_free and candidates and candidates[0] == x + 1 else candidates[:]
+        )
         y = x + a
         if y <= top and (y - b < floor or chosen[y - b]):
             rest.append(y)
-        stack.append((parts, rest, x))
+        if rest:
+            chosen[x] = 1
+            stack.append((below, candidates, last, size))
+            below, candidates, last, size = parts, rest, x, grown
 
 
 FILTERS: dict[str, Callable[[Partition], bool]] = {
@@ -233,8 +247,8 @@ def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
     return None
 
 
-def _kept_parts(s: int, t: int, part_filter: str) -> Iterator[tuple[int, ...]]:
-    """The parts of the (s, t)-cores passing the filter, in walk order, one pass.
+def _kept_parts(s: int, t: int, part_filter: str) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(size, parts) of the (s, t)-cores passing the filter, in walk order, one pass.
 
     Checks the filter and the pair before returning, not on first use.
     Every filter is decided by the walk; `self_conjugate` walks arm sets.
@@ -275,8 +289,8 @@ class EnumerationResult:
     max_size_witnesses: tuple[Partition, ...]
 
 
-def _result(found: Iterable[tuple[int, ...]]) -> _Listing:
-    """The parts tuples in canonical_key order: bucketed by size, each bucket sorted once.
+def _result(found: Iterable[tuple[int, tuple[int, ...]]]) -> _Listing:
+    """The parts of (size, parts) pairs in canonical_key order: bucketed by size, each sorted once.
 
     Within one size no parts tuple is a proper prefix of another, since the
     longer one would have the larger sum.  So descending parts order a
@@ -284,8 +298,8 @@ def _result(found: Iterable[tuple[int, ...]]) -> _Listing:
     joined by ascending size; the last one, of the largest size, is the tail.
     """
     buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for parts in found:
-        buckets[sum(parts)].append(parts)
+    for size, parts in found:
+        buckets[size].append(parts)
     ordered: list[tuple[int, ...]] = []
     for size in sorted(buckets):
         ordered += sorted(buckets[size], reverse=True)
@@ -302,7 +316,7 @@ def _listing(s: int, t: int, part_filter: str, bound: Optional[int] = None) -> _
     _require_int("t", t)
     _require_int("max_size", bound, 0)
     cores = (lam for n in range(bound + 1) for lam in partitions_of(n) if is_t_core(lam, s))
-    return _result(lam.parts for lam in cores if is_t_core(lam, t) and predicate(lam))
+    return _result((lam.size, lam.parts) for lam in cores if is_t_core(lam, t) and predicate(lam))
 
 
 def _wrapped(s: int, t: int, part_filter: str, listing: _Listing) -> EnumerationResult:
@@ -354,20 +368,20 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
 def _walk_summary(s: int, t: int, part_filter: str) -> CoreSummary:
     """summarize_core by one fold over the walk, for any walkable family the caller checked.
 
-    Each kept core is counted and sized as the sum of its parts; only the
-    parts of the largest ones are kept, then sorted.
+    Each kept core is counted at the size the walk gives it; only the
+    largest ones are kept, then sorted.
     """
     count = 0
     max_size = -1
-    witnesses: list[tuple[int, ...]] = []
-    for parts in _ideals(s, t, part_filter):
+    witnesses: list[tuple[int, tuple[int, ...]]] = []
+    for found in _ideals(s, t, part_filter):
         count += 1
-        size = sum(parts)
+        size = found[0]
         if size > max_size:
             max_size = size
-            witnesses = [parts]
+            witnesses = [found]
         elif size == max_size:
-            witnesses.append(parts)
+            witnesses.append(found)
     top = tuple(map(Partition._trusted, _result(witnesses).parts))
     return CoreSummary(s, t, part_filter, count, max_size, top)
 
@@ -436,7 +450,7 @@ def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
                 h, above = above
                 gaps += range(r, r + h * a, a)
             gaps.sort()
-            witnesses.append(tuple([x - i for i, x in enumerate(gaps)][::-1]))
+            witnesses.append((max_size, tuple([x - i for i, x in enumerate(gaps)][::-1])))
             continue
         r, slack, rows = steps[j - 1]
         best -= h * r + a * (h * (h - 1) // 2)
@@ -522,14 +536,20 @@ def _odd_shapes(m: int) -> Iterator[tuple[int, ...]]:
     )
 
 
+def _sorted_shapes(shapes: Iterable[tuple[int, ...]]) -> list[Partition]:
+    """The shapes, wrapped unchecked, in canonical order; sizes summed by `map`, not a generator."""
+    found = list(shapes)
+    return list(map(Partition._trusted, _result(zip(map(sum, found), found)).parts))
+
+
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:
     """All partitions into distinct parts with perimeter exactly m, canonically ordered."""
-    return list(map(Partition._trusted, _result(_distinct_shapes(m)).parts))
+    return _sorted_shapes(_distinct_shapes(m))
 
 
 def enumerate_odd_by_perimeter(m: int) -> list[Partition]:
     """All partitions into odd parts with perimeter exactly m, canonically ordered."""
-    return list(map(Partition._trusted, _result(_odd_shapes(m)).parts))
+    return _sorted_shapes(_odd_shapes(m))
 
 
 def count_twin_free_tuples(s: int, d: int, exclude_last: bool) -> int:

@@ -117,7 +117,7 @@ def enumerate_core_reference(s: int, t: int, part_filter: str = "all") -> Enumer
         for lam in map(from_beta, down_closed_subsets_recursive(s, t, part_filter == "distinct"))
         if predicate(lam)
     ]
-    return _wrapped(s, t, part_filter, _result([lam.parts for lam in found]))
+    return _wrapped(s, t, part_filter, _result([(lam.size, lam.parts) for lam in found]))
 
 
 def distinct_by_perimeter_checked(m: int) -> list[Partition]:

@@ -289,6 +289,26 @@ LISTING_SHA256 = {
         "871279b19e9ce4367926b0d334da101785340286775f1314179d882f023c233f",
     "--s 10 --t 11 --filter distinct --format csv":
         "3f8a6b6b64d7dd218c8b8082892bdacd629ba51ab6e938fbb2628974930e137a",
+    # a non-+-1 pair, where the twin drop meets inherited candidates
+    "--s 13 --t 15 --filter distinct --format text":
+        "e1c88eb5deaa4ad5ef626757bba8058e61d309cbcdf8baf2cbab2567cea74444",
+    "--s 13 --t 15 --filter distinct --format csv":
+        "8aaf2b1d09db59cb41155b6a0c8a43241ae664907ccab8c2963ef867df92f195",
+    # the leaf path, on arm sets
+    "--s 7 --t 12 --filter self_conjugate --format text":
+        "f488b673ac68ce220c58aa8d356bca384a2885d40b63e86afc2305d3b2546efa",
+    "--s 7 --t 12 --filter self_conjugate --format csv":
+        "b153926a7bc547a6c7fcc961262963e6274e50c2f8ac97a13147f1ba35d75098",
+    # odd, which tests each popped candidate
+    "--s 5 --t 13 --filter odd --format text":
+        "9a813c958f0d42c033cbf4b821e7e1076c7024d8385a8ee34f3e9c996f9eba0f",
+    "--s 5 --t 13 --filter odd --format csv":
+        "5931f18a93027f0d53845b4f1697c7aca409886a7f175d0defdbc24eef2a6a7f",
+    # one- and two-item listings
+    "--s 1 --t 1 --format text":
+        "ff67c754fb6bca153ae7d6e1697d3a60d7897cdb047774b34030d26973c8225b",
+    "--s 2 --t 3 --format text":
+        "c75a37cd4029301f0024931d5350025bbc4437edf8e4e3fddf9d00e3e53b9be9",
 }
 
 

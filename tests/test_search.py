@@ -1,6 +1,8 @@
 import random
 import sys
 from math import gcd
+from operator import itemgetter
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,7 +75,7 @@ class TestGapPoset:
         # the walk sizes its table by F, never by the huge generator
         for s, t in [(1, 10**12), (10**12, 1), (1, 1)]:
             for part_filter in sorted(FILTERS):
-                assert list(_ideals(s, t, part_filter)) == [()], (s, t, part_filter)
+                assert list(_ideals(s, t, part_filter)) == [(0, ())], (s, t, part_filter)
 
     def test_genus_and_frobenius_formulas(self):
         for s in range(1, 41):
@@ -194,7 +196,7 @@ class TestEnumerateCore:
         ]
         random.Random(10).shuffle(mixed)
         want = [lam.parts for lam in sorted(mixed, key=canonical_key)]
-        assert _result([lam.parts for lam in mixed]).parts == want
+        assert _result([(lam.size, lam.parts) for lam in mixed]).parts == want
 
     def test_witnesses_are_the_tail_of_the_listing(self):
         # the size-ascending tail against a scan of every listed size
@@ -209,7 +211,7 @@ class TestEnumerateCore:
         ]
         counts = []
         for found in families:
-            listing = _result([lam.parts for lam in found])
+            listing = _result([(lam.size, lam.parts) for lam in found])
             scan = [parts for parts in listing.parts if sum(parts) == listing.max_size]
             assert listing.parts[listing.witness_start :] == scan
             counts.append(len(scan))
@@ -234,7 +236,7 @@ class TestEnumerateCore:
     @example([Partition((2, 1)), Partition((3,)), Partition(()), Partition((2, 1))])
     def test_canonical_helper_matches_canonical_key_on_any_list(self, family):
         want = [lam.parts for lam in sorted(family, key=canonical_key)]
-        listing = _result([lam.parts for lam in family])
+        listing = _result([(lam.size, lam.parts) for lam in family])
         assert listing.parts == want
         # the last bucket against a scan of every size, duplicates and [] included
         assert listing.max_size == max((lam.size for lam in family), default=0)
@@ -325,7 +327,8 @@ class TestBetaSetPath:
     def test_self_conjugate_walk_matches_post_filter(self, s, t):
         # the arm-set walk against the unpruned gap walk plus the beta-set predicate
         kept = [beta for beta in _betas(_ideals(s, t, "all")) if is_self_conjugate_beta(beta)]
-        want = _wrapped(s, t, "self_conjugate", _result([from_beta(beta).parts for beta in kept]))
+        found = [(lam.size, lam.parts) for lam in map(from_beta, kept)]
+        want = _wrapped(s, t, "self_conjugate", _result(found))
         assert enumerate_core(s, t, "self_conjugate") == want
         assert _summary_of(summarize_core(s, t, "self_conjugate")) == _summary_of(want)
         # every walked arm set is kept
@@ -339,7 +342,7 @@ class TestBetaSetPath:
         for s in range(1, 13):
             for t in range(1, 13):
                 if gcd(s, t) == 1:
-                    for parts in _kept_parts(s, t, part_filter):
+                    for _, parts in _kept_parts(s, t, part_filter):
                         assert type(parts) is tuple and Partition(parts).parts == parts
 
     def test_self_conjugate_walk_yields_the_cores(self):
@@ -347,7 +350,7 @@ class TestBetaSetPath:
         for s in range(1, 13):
             for t in range(1, 13):
                 if gcd(s, t) == 1:
-                    for parts in _ideals(s, t, "self_conjugate"):
+                    for _, parts in _ideals(s, t, "self_conjugate"):
                         lam = Partition(parts)
                         assert conjugate(lam) == lam, (s, t, parts)
 
@@ -359,7 +362,7 @@ class TestBetaSetPath:
         for lam in brute_partitions_upto(24):
             if conjugate(lam) != lam:
                 continue
-            (arms,) = _arm_sets([lam.parts])
+            (arms,) = _arm_sets([(lam.size, lam.parts)])
             parts: tuple[int, ...] = ()
             for x in arms:
                 assert len(parts) <= x - 1
@@ -376,15 +379,15 @@ class TestBetaSetPath:
 
 
 def _betas(walk) -> list[tuple[int, ...]]:
-    """The ascending beta-sets of the walked parts tuples, each checked by Partition."""
-    return [tuple(sorted(to_beta(Partition(parts)))) for parts in walk]
+    """The ascending beta-sets of the parts of walked (size, parts) pairs, checked by Partition."""
+    return [tuple(sorted(to_beta(Partition(parts)))) for _, parts in walk]
 
 
 def _arm_sets(walk) -> list[tuple[int, ...]]:
-    """The ascending arm sets {lam_i - i + 1 : lam_i >= i} of the walked parts tuples."""
+    """The ascending arm sets {lam_i - i + 1 : lam_i >= i} of walked (size, parts) pairs."""
     return [
         tuple(sorted(p - i + 1 for i, p in enumerate(parts, start=1) if p >= i))
-        for parts in walk
+        for _, parts in walk
     ]
 
 
@@ -411,6 +414,41 @@ def _result_fields(result):
     unwrapped = [lam.parts for lam in result.partitions]
     witnesses = [lam.parts for lam in result.max_size_witnesses]
     return unwrapped, result.count, result.max_size, witnesses
+
+
+def _walk_order_key(part_filter: str) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A key that orders walked parts as the walk orders their chosen sets, lexicographically.
+
+    `self_conjugate` gets its ascending arm set.  A gap walk's ascending
+    beta-set is its parts reversed plus 0, 1, ..., ell - 1: one offset per
+    position, so the reversed parts compare exactly as the beta-sets do.
+    """
+    if part_filter == "self_conjugate":
+        return lambda parts: tuple(sorted(p - i for i, p in enumerate(parts) if p > i))
+    return itemgetter(slice(None, None, -1))
+
+
+class TestCarriedSize:
+    """The size `_ideals` carries for each core, against the sum of the parts it yields."""
+
+    # Every coprime pair with s <= 15 and t <= 17; `all` only while (s-1)(t-1) <= 170,
+    # 8.1 million cores, the largest families (13, 15) and (15, 13) with 1,337,220 each.
+    @pytest.mark.parametrize("s", range(1, 16))
+    @pytest.mark.parametrize("part_filter", sorted(FILTERS))
+    def test_size_is_the_sum_of_the_parts_in_walk_order(self, part_filter, s):
+        key = _walk_order_key(part_filter)
+        for t in range(1, 18):
+            if gcd(s, t) != 1 or (part_filter == "all" and (s - 1) * (t - 1) > 170):
+                continue
+            walk = _ideals(s, t, part_filter)
+            assert next(walk) == (0, ())
+            previous = key(())
+            for size, parts in walk:
+                assert size == sum(parts), (s, t, parts)
+                # strictly ascending chosen sets: the lexicographic walk order, each ideal once
+                ordered = key(parts)
+                assert previous < ordered, (s, t, parts)
+                previous = ordered
 
 
 class TestTupleListing:
