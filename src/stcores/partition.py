@@ -45,14 +45,18 @@ class Partition:
         Only for callers that already guarantee a weakly decreasing tuple
         of positive ints.  They are:
 
-        * `search._wrapped`, `summarize_core` and the perimeter
-          enumerators, which wrap parts tuples sorted by `_result`: the
-          walk's, as `search._ideals` puts a new top row x - ell, positive
-          and no shorter than the old one, on each partition of a gap
-          walk, and wraps each self-conjugate one in a hook: a top row x,
-          then the old rows each one longer, at most x as the old top row
-          is at most x - 1, then ones, so the rows stay weakly decreasing
-          and positive; the perimeter shapes, a largest part then a
+        * `search._wrapped`, `_walk_summary`, `_height_summary` and the
+          perimeter enumerators, which wrap parts tuples sorted by
+          `_result`: the walk's, as `search._ideals` puts a new top row
+          x - ell, positive and no shorter than the old one, on each
+          partition of a gap walk, and wraps each self-conjugate one in a
+          hook: a top row x, then the old rows each one longer, at most x
+          as the old top row is at most x - 1, then ones, so the rows stay
+          weakly decreasing and positive; the DP's witnesses, each decoded
+          from its gaps ascending, x_0 < x_1 < ..., all at least 1, as the
+          parts x_i - i reversed: x_i >= i + 1 makes each one positive,
+          and x_(i+1) >= x_i + 1 makes them weakly decreasing once
+          reversed; the perimeter shapes, a largest part then a
           strictly decreasing combination of smaller positive parts
           (`_distinct_shapes`) or an odd largest part then a weakly
           decreasing multiset of odd parts no larger than it

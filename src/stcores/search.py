@@ -64,18 +64,24 @@ Closure under -a holds inside a class.  Under -b it links class j to
 class j - 1 only: r_j - b = r_{j-1} - (g_j - g_{j-1})*a, so the top
 r_j + (h-1)*a of a segment of height h needs element h - (g_j - g_{j-1})
 of class j - 1, or nothing when that is below 1, where the top less b is
-negative.  So the ideals are the height paths with 0 <= h_j <= g_j and
-h_{j-1} >= h_j - (g_j - g_{j-1}), from h_0 = 0.  When b = +-1 mod a,
-r_j = +-j mod a: the residues r and r + 1 lie in consecutive classes
-(residue 0 holds no gap), and an ideal holds twins x - 1, x exactly when
-two consecutive classes are both non-empty, as then their bottoms are
-twins.  `distinct` forbids that; on other pairs twin residues lie in
-classes far apart, beyond one height of state, so those families walk.
-Class j adds h_j to ell and h_j*r_j + a*C(h_j, 2) to the sum of beta, and
-the size is that sum less C(ell, 2).  So each class keeps the number of
-paths per h_j, and their largest sum of beta per (h_j, ell); backtracking
-every path of the largest size gives the witnesses: a path's gaps,
-ascending, x_0 < x_1 < ..., are a beta-set with parts x_i - i.
+negative.  So the ideals are the height paths with 0 <= h_j <= g_j,
+from h_0 = 0, in which h_{j-1} >= h_j - slack, with slack = g_j - g_{j-1}.
+When b = +-1 mod a, r_j = +-j mod a: the residues r and r + 1 lie in
+consecutive classes (residue 0 holds no gap), and an ideal holds twins
+x - 1, x exactly when two consecutive classes are both non-empty, as then
+their bottoms are twins.  `distinct` forbids that; on other pairs twin
+residues lie in classes far apart, beyond one height of state, so those
+families walk.  The predecessor rule, for the pass and the backtrack
+alike: h_prev >= h - slack, and h_prev = 0 when twin-free and h > 0, so
+a twin-free class stops at height slack.  Class j adds h_j to ell and
+h_j*r_j + a*C(h_j, 2) to the sum of beta, and the size is that sum less
+C(ell, 2).  So each class keeps the number of paths per h_j, and their
+largest sum of beta per (h_j, ell), built in one pass down its heights:
+as h falls, so does h - slack, and each previous height joins one
+running dict and total once; height 0, which every previous height
+reaches, keeps the dict.  Backtracking every path of the largest size
+gives the witnesses: a path's gaps, ascending, x_0 < x_1 < ..., are a
+beta-set with parts x_i - i.
 
 Every other family goes to `_walk_summary`, one fold over the walk's
 (size, parts) pairs: it counts them and keeps only those of the largest
@@ -247,17 +253,6 @@ def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
     return None
 
 
-def _kept_parts(s: int, t: int, part_filter: str) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(size, parts) of the (s, t)-cores passing the filter, in walk order, one pass.
-
-    Checks the filter and the pair before returning, not on first use.
-    Every filter is decided by the walk; `self_conjugate` walks arm sets.
-    """
-    _predicate(part_filter)  # rejects unknown filters
-    _require_walkable(s, t)
-    return _ideals(s, t, part_filter)
-
-
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
     """Sort key: size ascending, then parts lexicographically descending.
 
@@ -309,9 +304,10 @@ def _result(found: Iterable[tuple[int, tuple[int, ...]]]) -> _Listing:
 
 def _listing(s: int, t: int, part_filter: str, bound: Optional[int] = None) -> _Listing:
     """enumerate_core, or enumerate_core_bounded up to a bound, as parts tuples; same errors."""
-    if bound is None:
-        return _result(_kept_parts(s, t, part_filter))
     predicate = _predicate(part_filter)
+    if bound is None:
+        _require_walkable(s, t)
+        return _result(_ideals(s, t, part_filter))
     _require_int("s", s)
     _require_int("t", t)
     _require_int("max_size", bound, 0)
@@ -386,23 +382,15 @@ def _walk_summary(s: int, t: int, part_filter: str) -> CoreSummary:
     return CoreSummary(s, t, part_filter, count, max_size, top)
 
 
-def _merged(rows: list[dict[int, int]]) -> dict[int, int]:
-    """The rows joined by ell, as a new dict, keeping the larger best sum of beta."""
-    out = dict(rows[0])
-    for row in rows[1:]:
-        for ell, best in row.items():
-            if best > out.get(ell, -1):
-                out[ell] = best
-    return out
-
-
 def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
     """summarize_core by the class heights (module docstring), for a pair the caller checked.
 
     `distinct` is exact only when max(s, t) = +-1 mod min(s, t).  Per
     height h of a class: the number of paths ending there, and a row of
-    their largest sum of beta per ell, drawn from the previous class's
-    heights h_prev >= h - slack (only 0 for a twin-free h > 0), merged.
+    their largest sum of beta per ell.  `merged` and `total` hold the
+    previous class's heights k and above, k falling to max(0, h - slack);
+    they start as a copy of its top height, which every h reading them
+    admits, and end as row 0.
     """
     twin_free = part_filter == "distinct"
     a = min(s, t)
@@ -415,23 +403,22 @@ def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
         slack = g - g_prev  # h is admissible above h_prev >= h - slack
         g_prev = g
         steps.append((r, slack, rows))
-        if twin_free:
-            paths = [sum(paths)] + paths[:1] * slack
-            sources = [_merged(rows)] + rows[:1] * slack
-        else:
-            tails = [paths[-1]]  # tails[k], reach[k]: the heights k and above, merged
-            reach = [rows[-1]]
-            for n, row in zip(paths[-2::-1], rows[-2::-1]):
-                tails.append(tails[-1] + n)
-                reach.append(_merged([reach[-1], row]))
-            tails.reverse()
-            reach.reverse()
-            paths = (tails[:1] * slack + tails)[: g + 1]
-            sources = reach[:1] * slack + reach
-        rows = [sources[0]]
-        for h in range(1, len(paths)):
-            gain = h * r + a * (h * (h - 1) // 2)
-            rows.append({ell + h: best + gain for ell, best in sources[h].items()})
+        k = len(rows) - 1
+        merged, total = dict(rows[k]), paths[k]  # the previous class's heights k and above
+        heights = range(slack if twin_free else g, -1, -1)
+        new_paths, new_rows = [0] * len(heights), [merged] * len(heights)
+        for h in heights:
+            while k > max(0, h - slack):
+                k -= 1
+                total += paths[k]
+                for ell, best in rows[k].items():
+                    if best > merged.get(ell, -1):
+                        merged[ell] = best
+            source, new_paths[h] = (rows[0], paths[0]) if twin_free and h else (merged, total)
+            if h:
+                gain = h * r + a * (h * (h - 1) // 2)
+                new_rows[h] = {ell + h: best + gain for ell, best in source.items()}
+        paths, rows = new_paths, new_rows
     max_size = -1
     stack: list[tuple] = []
     for h, row in enumerate(rows):

@@ -10,6 +10,7 @@ address space capped at 1 GiB, so a walk sized by a huge pair fails them.
 import os
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -92,10 +93,19 @@ def test_pair_without_gaps_is_not_sized_by_t(tmp_path, part_filter):
     assert "count: 1" in proc.stdout.splitlines()
 
 
-@pytest.mark.parametrize("claim", ["fib-distinct", "maxsize-s-s1"])
-def test_verify_past_the_walk_passes(tmp_path, claim):
-    # (40, 41) holds F(41) = 165,580,141 distinct cores: the residue-height DP answers it
-    proc = run_process("verify", claim, "--max-s", "40", cwd=tmp_path)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fib-distinct", "--max-s", "40"),
+        ("maxsize-s-s1", "--max-s", "40"),
+        ("anderson", "--max-sum", "60"),
+    ],
+    ids=itemgetter(0),
+)
+def test_verify_past_the_walk_passes(tmp_path, argv):
+    # (40, 41) holds F(41) = 165,580,141 distinct cores and (29, 31) 1.9e15 cores in all:
+    # the residue-height DP answers them
+    proc = run_process("verify", *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
     assert "Traceback" not in proc.stderr

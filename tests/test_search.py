@@ -28,6 +28,8 @@ from stcores import (
     is_t_core,
     is_t_core_beta,
     is_twin_free,
+    m_poly,
+    n_poly,
     partitions_of,
     to_beta,
 )
@@ -37,7 +39,6 @@ from stcores.search import (
     FILTERS,
     CoreSummary,
     _ideals,
-    _kept_parts,
     _listing,
     _result,
     _wrapped,
@@ -289,7 +290,7 @@ class TestBetaSetPath:
         # the addability rule, with no gap list, against take/leave over the sieved gaps;
         # the walk's own order is already the sorted one
         want = sorted(tuple(sorted(ideal)) for ideal in down_closed_subsets_recursive(s, t, True))
-        assert _betas(_kept_parts(s, t, "distinct")) == want
+        assert _betas(_ideals(s, t, "distinct")) == want
 
     @pytest.mark.parametrize("part_filter", sorted(FILTERS))
     def test_walk_order_is_lexicographic(self, part_filter):
@@ -337,12 +338,12 @@ class TestBetaSetPath:
 
     @pytest.mark.parametrize("part_filter", sorted(FILTERS))
     def test_walk_yields_checked_partitions(self, part_filter):
-        # enumerate_core and summarize_core skip Partition's checks on these tuples;
-        # _kept_parts returns the walk itself for every filter
+        # enumerate_core and summarize_core skip Partition's checks on these tuples,
+        # which every filter's listing takes straight from the walk
         for s in range(1, 13):
             for t in range(1, 13):
                 if gcd(s, t) == 1:
-                    for _, parts in _kept_parts(s, t, part_filter):
+                    for _, parts in _ideals(s, t, part_filter):
                         assert type(parts) is tuple and Partition(parts).parts == parts
 
     def test_self_conjugate_walk_yields_the_cores(self):
@@ -596,6 +597,25 @@ class TestHeightSummary:
     )
     def test_all_matches_walk(self, s, t):
         assert search._height_summary(s, t, "all") == search._walk_summary(s, t, "all")
+
+    def test_all_matches_closed_forms_past_the_walk(self):
+        # 244 pairs, up to (19, 21) with 3.3e9 cores: the count is Anderson's, and the
+        # largest core is unique of size (s^2 - 1)(t^2 - 1)/24 (Olsson & Stanton 2007)
+        pairs = [(s, t) for s in range(1, 40) for t in range(s + 1, 41 - s) if gcd(s, t) == 1]
+        assert len(pairs) == 244
+        for s, t in pairs:
+            summary = search._height_summary(s, t, "all")
+            assert summary.count == anderson_count(s, t), (s, t)
+            assert summary.max_size == (s * s - 1) * (t * t - 1) // 24, (s, t)
+            (lam,) = summary.max_size_witnesses
+            assert lam.size == summary.max_size and is_t_core(lam, s) and is_t_core(lam, t)
+
+    def test_distinct_matches_twin_free_polynomials(self):
+        # 232 families, up to (30, 121): t = ds - 1 is counted by n_poly, t = ds + 1 by m_poly
+        for s in range(2, 31):
+            for d in range(1, 5):
+                for t, want in [(d * s - 1, n_poly(s)(d)), (d * s + 1, m_poly(s)(d))]:
+                    assert search._height_summary(s, t, "distinct").count == want, (s, d, t)
 
     def test_edges_without_classes(self):
         # min(s, t) = 1 has no class and min(s, t) = 2 one: t odd is +-1 mod 2
