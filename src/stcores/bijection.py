@@ -33,7 +33,7 @@ inverses stay the literal construction, one step per composition entry.
 
 from __future__ import annotations
 
-from .partition import Partition
+from .partition import Partition, _new, _set_parts
 from .sequences import _require_int
 
 CompositionC = tuple[int, ...]
@@ -173,19 +173,22 @@ def distinct_to_odd(lam: Partition) -> Partition:
     ValueError unless lam has distinct parts.
     """
     parts = lam.parts
+    image = _new(Partition)  # its slot is written as Partition._trusted writes it
     if not parts:
-        return Partition._trusted(())
+        _set_parts(image, ())
+        return image
     odd = 2 * len(parts) - 1
-    image = [odd]  # the largest value gets one copy more than its gap
+    runs = [odd]  # the largest value gets one copy more than its gap
     above = parts[0]
     for p in parts[1:] + (0,):
         gap = above - p - 1
         if gap < 0:
             raise ValueError(_NOT_DISTINCT.format(lam))
-        image += (odd,) * gap
+        runs += (odd,) * gap
         above = p
         odd -= 2
-    return Partition._trusted(tuple(image))
+    _set_parts(image, tuple(runs))
+    return image
 
 
 def odd_to_distinct(lam: Partition) -> Partition:
@@ -202,19 +205,22 @@ def odd_to_distinct(lam: Partition) -> Partition:
     p exactly when p is odd.
     """
     parts = lam.parts
+    image = _new(Partition)  # its slot is written as Partition._trusted writes it
     if not parts:
-        return Partition._trusted(())
-    image: list[int] = []
+        _set_parts(image, ())
+        return image
+    sums: list[int] = []
     part = 0
     odd = 1
     for p in reversed(parts):
         while odd < p:  # every copy of odd is counted: close its part
             part += 1
-            image.append(part)
+            sums.append(part)
             odd += 2
         if odd != p:
             raise ValueError(_NOT_ODD.format(lam))
         part += 1
-    image.append(part)
-    image.reverse()
-    return Partition._trusted(tuple(image))
+    sums.append(part)
+    sums.reverse()
+    _set_parts(image, tuple(sums))
+    return image

@@ -8,9 +8,11 @@ is pure, so everything can be shared freely between threads.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import gt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .sequences import _require_int
 
@@ -43,35 +45,39 @@ class Partition:
         """Build without the checks of __post_init__.
 
         Only for callers that already guarantee a weakly decreasing tuple
-        of positive ints.  They are:
+        of positive ints, alone or through `_trusted_all`.  They are:
 
-        * `search._wrapped`, `_walk_summary`, `_height_summary` and the
-          perimeter enumerators, which wrap parts tuples sorted by
-          `_result`: the walk's, as `search._ideals` puts a new top row
-          x - ell, positive and no shorter than the old one, on each
-          partition of a gap walk, and wraps each self-conjugate one in a
-          hook: a top row x, then the old rows each one longer, at most x
-          as the old top row is at most x - 1, then ones, so the rows stay
-          weakly decreasing and positive; the DP's witnesses, each decoded
-          from its gaps ascending, x_0 < x_1 < ..., all at least 1, as the
-          parts x_i - i reversed: x_i >= i + 1 makes each one positive,
-          and x_(i+1) >= x_i + 1 makes them weakly decreasing once
-          reversed; the perimeter shapes, a largest part then a
+        * `search._wrapped`, `_walk_summary` and `_height_summary`, which
+          pass `_trusted_all` parts tuples sorted by `_result`: the walk's,
+          as `search._ideals` puts a new top row x - ell, positive and no
+          shorter than the old one, on each partition of a gap walk, and
+          wraps each self-conjugate one in a hook: a top row x, then the
+          old rows each one longer, at most x as the old top row is at
+          most x - 1, then ones, so the rows stay weakly decreasing and
+          positive; the DP's witnesses, each decoded from its gaps
+          ascending, x_0 < x_1 < ..., all at least 1, as the parts x_i - i
+          reversed: x_i >= i + 1 makes each one positive, and
+          x_(i+1) >= x_i + 1 makes them weakly decreasing once reversed;
+          and `enumerate_core_bounded`'s checked ones.
+        * `search._sorted_shapes`, which passes `_trusted_all` the
+          perimeter shapes in canonical order: a largest part then a
           strictly decreasing combination of smaller positive parts
           (`_distinct_shapes`) or an odd largest part then a weakly
           decreasing multiset of odd parts no larger than it
-          (`_odd_shapes`); and `enumerate_core_bounded`'s checked ones.
+          (`_odd_shapes`).
         * `bijection.lambda_d` / `lambda_o`, after checking the
           composition: from [1], a step only grows the largest part or
           appends a part at least as large, and the list is then reversed.
-        * `bijection.distinct_to_odd`: runs of the odd values 2k - 1, ...,
-          3, 1 in that order, the first at least one long and each later
-          one p_i - p_{i+1} - 1 long; its own loop raises before a
-          negative run, that is on equal neighbours.
-        * `bijection.odd_to_distinct`: running sums built from the bottom,
-          each larger than the last (a closed part adds one, the top adds
-          the largest part's multiplicity, at least one), then reversed;
-          its own loop raises on the first even part.
+        * `bijection.distinct_to_odd` and `odd_to_distinct`, which write
+          their image's slot directly, as this method does, with no call:
+          the first builds runs of the odd values 2k - 1, ..., 3, 1 in that
+          order, the first at least one long and each later one
+          p_i - p_{i+1} - 1 long, and its own loop raises before a negative
+          run, that is on equal neighbours; the second builds running sums
+          from the bottom, each larger than the last (a closed part adds
+          one, the top adds the largest part's multiplicity, at least
+          one), then reversed, and its own loop raises on the first even
+          part.
 
         The slot is written through its own descriptor, as __post_init__
         writes it through object.__setattr__, past the frozen __setattr__.
@@ -79,6 +85,18 @@ class Partition:
         lam = _new(cls)
         _set_parts(lam, parts)
         return lam
+
+    @classmethod
+    def _trusted_all(cls, parts: Sequence[tuple[int, ...]]) -> list[Partition]:
+        """`_trusted` over a sequence, one Partition per parts tuple, in order.
+
+        The same trust; its callers are listed there.  The objects are made
+        and their slots written by `map`, consumed in C, with no Python
+        frame per partition.
+        """
+        wrapped = list(map(_new, repeat(cls, len(parts))))
+        deque(map(_set_parts, wrapped, parts), maxlen=0)
+        return wrapped
 
     @property
     def ell(self) -> int:

@@ -85,13 +85,15 @@ beta-set with parts x_i - i.
 
 Every other family goes to `_walk_summary`, one fold over the walk's
 (size, parts) pairs: it counts them and keeps only those of the largest
-size, as the walk gives it, its witnesses.  `_result` is the one canonical
-sort, for listings, witnesses and perimeter shapes alike, over
-(size, parts) pairs: one bucket per given size, each sorted once, the
-buckets taken by ascending size, so the last bucket is the listing's tail
-and gives its largest size and first witness.  The CLI renders these
-tuples; only the library entry points wrap them, unchecked, as
-partitions.  Every listing walks, so it stays a second route to every
+size, as the walk gives it, its witnesses.  `_result` is the canonical
+sort for listings and witnesses, over (size, parts) pairs: one bucket
+per given size, each sorted once, the buckets taken by ascending size, so
+the last bucket is the listing's tail and gives its largest size and
+first witness.  The CLI renders these tuples; only the library entry
+points wrap them, unchecked, as partitions, all at once by
+`Partition._trusted_all`.  The perimeter shapes carry no size, so
+`_sorted_shapes` orders them by two C sorts instead and wraps them the
+same way.  Every listing walks, so it stays a second route to every
 count the DP gives.
 """
 
@@ -99,7 +101,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, repeat
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .betaset import is_twin_free
@@ -317,7 +320,7 @@ def _listing(s: int, t: int, part_filter: str, bound: Optional[int] = None) -> _
 
 def _wrapped(s: int, t: int, part_filter: str, listing: _Listing) -> EnumerationResult:
     """The listing with each parts tuple wrapped, unchecked, as a Partition."""
-    found = tuple(map(Partition._trusted, listing.parts))
+    found = tuple(Partition._trusted_all(listing.parts))
     witnesses = found[listing.witness_start :]
     return EnumerationResult(s, t, part_filter, found, len(found), listing.max_size, witnesses)
 
@@ -378,7 +381,7 @@ def _walk_summary(s: int, t: int, part_filter: str) -> CoreSummary:
             witnesses = [found]
         elif size == max_size:
             witnesses.append(found)
-    top = tuple(map(Partition._trusted, _result(witnesses).parts))
+    top = tuple(Partition._trusted_all(_result(witnesses).parts))
     return CoreSummary(s, t, part_filter, count, max_size, top)
 
 
@@ -445,7 +448,7 @@ def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
         for h_prev in range(max(0, h - slack), 1 if twin_free and h else len(rows)):
             if rows[h_prev].get(ell) == best:
                 stack.append((j - 1, h_prev, ell, best, (h, above)))
-    top = tuple(map(Partition._trusted, _result(witnesses).parts))
+    top = tuple(Partition._trusted_all(_result(witnesses).parts))
     return CoreSummary(s, t, part_filter, sum(paths), max_size, top)
 
 
@@ -486,47 +489,56 @@ def enumerate_core_bounded(
 
 
 def _distinct_shapes(m: int) -> Iterator[tuple[int, ...]]:
-    """The parts of every partition into distinct parts with perimeter m, unsorted.
+    """The parts of every partition into distinct parts with perimeter m, lazily, unsorted.
 
     m is checked at the call.  Built from the shape: a partition with largest
     part L and perimeter m has m + 1 - L parts, so it is L followed by a
     combination of m - L of the parts L - 1, ..., 1, taken in decreasing
     order.  There are C(L - 1, m - L) of them for each L, and the sum over L
     of C(L - 1, m - L) is the shallow-diagonal sum of Pascal's triangle, F(m).
+    Each shape is (L,) + a combination, joined by `map(add)`: one Python
+    frame per L, none per shape.
     """
     _require_int("m", m, 0)
     if m == 0:
         return iter([()])
-    return (
-        (largest,) + rest
+    return chain.from_iterable(
+        map(add, repeat((largest,)), combinations(range(largest - 1, 0, -1), m - largest))
         for largest in range(1, m + 1)
-        for rest in combinations(range(largest - 1, 0, -1), m - largest)
     )
 
 
 def _odd_shapes(m: int) -> Iterator[tuple[int, ...]]:
-    """The parts of every partition into odd parts with perimeter m, unsorted.
+    """The parts of every partition into odd parts with perimeter m, lazily, unsorted.
 
     m is checked at the call.  Built from the shape: an odd largest part
     L = 2j + 1 followed by a weakly decreasing multiset of m - L odd parts
     no larger than L, chosen from the j + 1 values L, L - 2, ..., 1.  There
     are C(m - 1 - j, j) of them for each j, so the count is the same
-    shallow-diagonal sum, F(m).
+    shallow-diagonal sum, F(m).  Joined as in `_distinct_shapes`, with no
+    Python frame per shape.
     """
     _require_int("m", m, 0)
     if m == 0:
         return iter([()])
-    return (
-        (largest,) + rest
+    return chain.from_iterable(
+        map(add, repeat((largest,)), combinations_with_replacement(range(largest, 0, -2), m - largest))
         for largest in range(1, m + 1, 2)
-        for rest in combinations_with_replacement(range(largest, 0, -2), m - largest)
     )
 
 
 def _sorted_shapes(shapes: Iterable[tuple[int, ...]]) -> list[Partition]:
-    """The shapes, wrapped unchecked, in canonical order; sizes summed by `map`, not a generator."""
-    found = list(shapes)
-    return list(map(Partition._trusted, _result(zip(map(sum, found), found)).parts))
+    """The shapes in canonical order, wrapped unchecked by `Partition._trusted_all`.
+
+    Two C sorts instead of `_result`: parts descending, then a stable sort
+    by size, which keeps that order within each size.  Within one size no
+    shape is a proper prefix of another, so descending parts is the order
+    of canonical_key there, as in `_result`.  Sizes are summed by
+    `key=sum`, with no Python frame per shape.
+    """
+    found = sorted(shapes, reverse=True)
+    found.sort(key=sum)
+    return Partition._trusted_all(found)
 
 
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:

@@ -224,7 +224,9 @@ def test_distinct_odd_counts_shapes_without_building_partitions(monkeypatch):
         raise AssertionError("distinct-odd built or sorted a partition")
 
     monkeypatch.setattr(search_mod, "_result", refused)
+    monkeypatch.setattr(search_mod, "_sorted_shapes", refused)
     monkeypatch.setattr(Partition, "_trusted", refused)
+    monkeypatch.setattr(Partition, "_trusted_all", refused)
     report = run_claim("distinct-odd", max_m=12)
     assert report.passed, report.mismatches
     assert len(report.cases) == 24  # M = 1..12, two families

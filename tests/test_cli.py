@@ -325,11 +325,14 @@ def test_listing_bytes_are_pinned(capsys, flags):
                          "--s 3 --t 5 --bound 20 "))
 ])
 def test_listing_wraps_no_core_as_a_partition(capsys, monkeypatch, flags):
-    # the listing stays parts tuples from the sort to the renderers
+    # the listing stays parts tuples from the sort to the renderers: no
+    # wrap, one by one or in bulk, and no shape sort, which also wraps
     def refused(*args):
         raise AssertionError("enumerate wrapped a listed core as a Partition")
 
     monkeypatch.setattr(Partition, "_trusted", refused)
+    monkeypatch.setattr(Partition, "_trusted_all", refused)
+    monkeypatch.setattr(search_mod, "_sorted_shapes", refused)
     code, out, _ = run_cli(capsys, "enumerate", *flags.split())
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LISTING_SHA256[flags]

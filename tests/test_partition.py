@@ -56,11 +56,17 @@ class TestConstruction:
 
 class TestLayout:
     def test_trusted_equals_checked(self):
-        for lam in all_upto(10):
-            fast = Partition._trusted(lam.parts)
-            assert fast == lam
-            assert hash(fast) == hash(lam)
-            assert repr(fast) == repr(lam)
+        family = all_upto(10)
+        bulk = Partition._trusted_all([lam.parts for lam in family])
+        assert len(bulk) == len(family)
+        for lam, wrapped in zip(family, bulk):
+            for fast in [Partition._trusted(lam.parts), wrapped]:
+                assert type(fast) is Partition
+                assert fast == lam
+                assert hash(fast) == hash(lam)
+                assert repr(fast) == repr(lam)
+        assert Partition._trusted_all([]) == []
+        assert Partition._trusted_all(()) == []
 
     def test_slotted_and_frozen(self):
         lam = Partition([3, 1])
@@ -83,7 +89,8 @@ class TestLayout:
             dataclasses.replace(lam, parts=(1, 3))
 
     def test_pickle_and_deepcopy_round_trip(self):
-        for lam in [Partition(()), Partition((3, 3, 1)), Partition._trusted((5, 1))]:
+        bulk = Partition._trusted_all([(), (4, 2, 2, 1)])
+        for lam in [Partition(()), Partition((3, 3, 1)), Partition._trusted((5, 1)), *bulk]:
             for copied in [pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)]:
                 assert type(copied) is Partition
                 assert copied == lam and hash(copied) == hash(lam)
