@@ -279,7 +279,7 @@ def _guarded_cases(claim: Claim, params: dict, fold: search.Fold) -> list[ClaimC
     """The claim's cases for params; a builder that raises yields one FAIL case."""
     try:
         return claim.cases(params, fold)
-    except MemoryError:  # running out of memory refutes nothing
+    except (MemoryError, search.GapLimitError):  # running out of memory or gaps refutes nothing
         raise
     except Exception as exc:  # a broken formula or enumerator fails the claim, not the run
         return [ClaimCase(params, "no exception", type(exc).__name__, False)]
@@ -298,7 +298,8 @@ def run_claim(name: str, *, fold: search.Fold | None = None, **ranges: int) -> V
     """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError.
 
     A range value other than None must be an exact int, not a bool.  A case
-    builder that raises, short of MemoryError, becomes a FAIL case.  fold
+    builder that raises, short of MemoryError and search.GapLimitError,
+    becomes a FAIL case.  fold
     gives the families' summaries, a fresh `shared_fold()` by default; a
     fold shared with earlier claims answers their families from its memo,
     so this report's seconds exclude them.

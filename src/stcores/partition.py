@@ -47,18 +47,14 @@ class Partition:
         Only for callers that already guarantee a weakly decreasing tuple
         of positive ints, alone or through `_trusted_all`.  They are:
 
-        * `search._wrapped`, `_walk_summary` and `_height_summary`, which
-          pass `_trusted_all` parts tuples sorted by `_result`: the walk's,
-          as `search._ideals` puts a new top row x - ell, positive and no
-          shorter than the old one, on each partition of a gap walk, and
-          wraps each self-conjugate one in a hook: a top row x, then the
-          old rows each one longer, at most x as the old top row is at
-          most x - 1, then ones, so the rows stay weakly decreasing and
-          positive; the DP's witnesses, each decoded from its gaps
-          ascending, x_0 < x_1 < ..., all at least 1, as the parts x_i - i
-          reversed: x_i >= i + 1 makes each one positive, and
-          x_(i+1) >= x_i + 1 makes them weakly decreasing once reversed;
-          and `enumerate_core_bounded`'s checked ones.
+        * `search._wrapped`, which passes `_trusted_all` a listing's parts
+          tuples sorted by `_result`: the walk's, as `search._ideals` puts
+          a new top row x - ell, positive and no shorter than the old one,
+          on each partition of a gap walk, and wraps each self-conjugate
+          one in a hook: a top row x, then the old rows each one longer,
+          at most x as the old top row is at most x - 1, then ones, so the
+          rows stay weakly decreasing and positive; and
+          `enumerate_core_bounded`'s checked ones.
         * `search._sorted_shapes`, which passes `_trusted_all` the
           perimeter shapes in canonical order: a largest part then a
           strictly decreasing combination of smaller positive parts

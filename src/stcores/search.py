@@ -80,32 +80,34 @@ largest sum of beta per (h_j, ell), built in one pass down its heights:
 as h falls, so does h - slack, and each previous height joins one
 running dict and total once; height 0, which every previous height
 reaches, keeps the dict.  Backtracking every path of the largest size
-gives the witnesses: a path's gaps, ascending, x_0 < x_1 < ..., are a
-beta-set with parts x_i - i.
+gives the witnesses: a path's gaps are a beta-set, which
+`betaset.from_beta` decodes.
 
 Every other family goes to `_walk_summary`, one fold over the walk's
-(size, parts) pairs: it counts them and keeps only those of the largest
-size, as the walk gives it, its witnesses.  `_result` is the canonical
-sort for listings and witnesses, over (size, parts) pairs: one bucket
-per given size, each sorted once, the buckets taken by ascending size, so
-the last bucket is the listing's tail and gives its largest size and
-first witness.  The CLI renders these tuples; only the library entry
-points wrap them, unchecked, as partitions, all at once by
-`Partition._trusted_all`.  The perimeter shapes carry no size, so
-`_sorted_shapes` orders them by two C sorts instead and wraps them the
-same way.  Every listing walks, so it stays a second route to every
-count the DP gives.
+(size, parts) pairs: it counts them and keeps only the parts of the
+largest size, as the walk gives it, its witnesses.  A summary has few
+witnesses, so both routes build them by the checked constructor and
+order them by `canonical_key`.  `_result` is the canonical sort for
+listings only, over (size, parts) pairs: one bucket per given size, each
+sorted once, the buckets taken by ascending size, so the last bucket is
+the listing's tail and gives its largest size and first witness.  The
+CLI renders these tuples; only the listing entry points wrap them,
+unchecked, as partitions, all at once by `Partition._trusted_all`.  The
+perimeter shapes carry no size, so `_sorted_shapes` orders them by two C
+sorts instead and wraps them the same way.  Every listing walks, so it
+stays a second route to every count the DP gives.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .betaset import is_twin_free
+from .betaset import from_beta, is_twin_free
 from .partition import (
     Partition,
     conjugate,
@@ -122,12 +124,16 @@ from .sequences import anderson_count, fms_selfconjugate_count
 GAP_LIMIT = 1_000_000
 
 
+class GapLimitError(ValueError):
+    """The pair's walk would run over more than GAP_LIMIT gaps: a refusal, not a refutation."""
+
+
 def _require_walkable(s: int, t: int) -> None:
-    """_require_coprime, then ValueError above GAP_LIMIT gaps, as many as self_conjugate's arms."""
+    """_require_coprime, then GapLimitError above GAP_LIMIT gaps, as many as self_conjugate's arms."""
     _require_coprime(s, t)
     gaps = (s - 1) * (t - 1) // 2
     if gaps > GAP_LIMIT:
-        raise ValueError(
+        raise GapLimitError(
             f"the ({s}, {t}) walk runs over {gaps} gaps, above the limit of {GAP_LIMIT}"
         )
 
@@ -259,8 +265,9 @@ def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
 def canonical_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
     """Sort key: size ascending, then parts lexicographically descending.
 
-    The definition of canonical order.  The listings sort by `_result`,
-    which gives the same order faster; the tests compare the two.
+    The definition of canonical order, and the sort of summary witnesses.
+    The listings sort by `_result`, which gives the same order faster; the
+    tests compare the two.
     """
     parts = lam.parts
     return (sum(parts), tuple([-p for p in parts]))
@@ -290,10 +297,12 @@ class EnumerationResult:
 def _result(found: Iterable[tuple[int, tuple[int, ...]]]) -> _Listing:
     """The parts of (size, parts) pairs in canonical_key order: bucketed by size, each sorted once.
 
-    Within one size no parts tuple is a proper prefix of another, since the
-    longer one would have the larger sum.  So descending parts order a
-    bucket exactly as ascending negated parts do, and the buckets are
-    joined by ascending size; the last one, of the largest size, is the tail.
+    The sort of listings only; summaries order their few witnesses by
+    `canonical_key` itself.  Within one size no parts tuple is a proper
+    prefix of another, since the longer one would have the larger sum.  So
+    descending parts order a bucket exactly as ascending negated parts do,
+    and the buckets are joined by ascending size; the last one, of the
+    largest size, is the tail.
     """
     buckets: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     for size, parts in found:
@@ -367,21 +376,21 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
 def _walk_summary(s: int, t: int, part_filter: str) -> CoreSummary:
     """summarize_core by one fold over the walk, for any walkable family the caller checked.
 
-    Each kept core is counted at the size the walk gives it; only the
-    largest ones are kept, then sorted.
+    Each kept core is counted at the size the walk gives it; only the parts
+    of the largest ones are kept, as plain tuples, then built as checked
+    partitions and sorted by `canonical_key`.
     """
     count = 0
     max_size = -1
-    witnesses: list[tuple[int, tuple[int, ...]]] = []
-    for found in _ideals(s, t, part_filter):
+    witnesses: list[tuple[int, ...]] = []
+    for size, parts in _ideals(s, t, part_filter):
         count += 1
-        size = found[0]
         if size > max_size:
             max_size = size
-            witnesses = [found]
+            witnesses = [parts]
         elif size == max_size:
-            witnesses.append(found)
-    top = tuple(Partition._trusted_all(_result(witnesses).parts))
+            witnesses.append(parts)
+    top = tuple(sorted(map(Partition, witnesses), key=canonical_key))
     return CoreSummary(s, t, part_filter, count, max_size, top)
 
 
@@ -393,7 +402,9 @@ def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
     their largest sum of beta per ell.  `merged` and `total` hold the
     previous class's heights k and above, k falling to max(0, h - slack);
     they start as a copy of its top height, which every h reading them
-    admits, and end as row 0.
+    admits, and end as row 0.  Each backtracked path's gaps are decoded by
+    `betaset.from_beta`, checked, and the witnesses sorted by
+    `canonical_key`.
     """
     twin_free = part_filter == "distinct"
     a = min(s, t)
@@ -439,8 +450,7 @@ def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
             for r, _ in classes:
                 h, above = above
                 gaps += range(r, r + h * a, a)
-            gaps.sort()
-            witnesses.append((max_size, tuple([x - i for i, x in enumerate(gaps)][::-1])))
+            witnesses.append(from_beta(gaps))
             continue
         r, slack, rows = steps[j - 1]
         best -= h * r + a * (h * (h - 1) // 2)
@@ -448,7 +458,7 @@ def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
         for h_prev in range(max(0, h - slack), 1 if twin_free and h else len(rows)):
             if rows[h_prev].get(ell) == best:
                 stack.append((j - 1, h_prev, ell, best, (h, above)))
-    top = tuple(Partition._trusted_all(_result(witnesses).parts))
+    top = tuple(sorted(witnesses, key=canonical_key))
     return CoreSummary(s, t, part_filter, sum(paths), max_size, top)
 
 
@@ -458,21 +468,15 @@ Fold = Callable[[int, int, str], CoreSummary]
 def _shared(fold: Fold) -> Fold:
     """fold, memoized by unordered pair and filter, for the one request that makes it.
 
-    The (s, t)- and (t, s)-cores are one family, so the memo folds
-    fold(min(s, t), max(s, t), part_filter) once and returns that summary,
-    its s <= t, for either order.  A fold that raises is not kept.  The
-    memo lives as long as the returned function, so build one per request.
+    The (s, t)- and (t, s)-cores are one family, so the returned function
+    calls `functools.cache(fold)` with (min(s, t), max(s, t), part_filter):
+    each family is folded once and either order gets that summary, its
+    s <= t.  A fold that raises is not kept, as `cache` stores only
+    returns.  The memo lives as long as the returned function, so build
+    one per request.
     """
-    memo: dict[tuple[int, int, str], CoreSummary] = {}
-
-    def shared(s: int, t: int, part_filter: str) -> CoreSummary:
-        key = (s, t, part_filter) if s <= t else (t, s, part_filter)
-        summary = memo.get(key)
-        if summary is None:
-            summary = memo[key] = fold(*key)
-        return summary
-
-    return shared
+    memo = cache(fold)
+    return lambda s, t, part_filter: memo(min(s, t), max(s, t), part_filter)
 
 
 def enumerate_core_bounded(

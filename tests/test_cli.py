@@ -566,6 +566,14 @@ class TestVerify:
         assert "FAIL" not in out
         assert err.startswith("error: out of memory")
 
+    def test_gap_limit_is_an_error_not_a_fail(self, capsys, monkeypatch):
+        # (6, 7) has 15 gaps: the limit refuses the family, it does not refute the claim
+        monkeypatch.setattr(search_mod, "GAP_LIMIT", 10)
+        code, out, err = run_cli(capsys, "verify", "fib-distinct", "--max-s", "8")
+        assert code == 1
+        assert out == ""
+        assert "limit of 10" in err
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "fib-distinct", "--max-s", "5", "--format", "csv",

@@ -611,11 +611,18 @@ class TestHeightSummary:
             assert lam.size == summary.max_size and is_t_core(lam, s) and is_t_core(lam, t)
 
     def test_distinct_matches_twin_free_polynomials(self):
-        # 232 families, up to (30, 121): t = ds - 1 is counted by n_poly, t = ds + 1 by m_poly
+        # 232 families, up to (30, 121): t = ds - 1 is counted by n_poly, t = ds + 1 by m_poly,
+        # and every witness is a distinct-part s- and t-core of the largest size
         for s in range(2, 31):
             for d in range(1, 5):
                 for t, want in [(d * s - 1, n_poly(s)(d)), (d * s + 1, m_poly(s)(d))]:
-                    assert search._height_summary(s, t, "distinct").count == want, (s, d, t)
+                    summary = search._height_summary(s, t, "distinct")
+                    assert summary.count == want, (s, d, t)
+                    assert summary.max_size_witnesses, (s, d, t)
+                    for lam in summary.max_size_witnesses:
+                        assert has_distinct_parts(lam), (s, d, t, lam)
+                        assert is_t_core(lam, s) and is_t_core(lam, t), (s, d, t, lam)
+                        assert lam.size == summary.max_size, (s, d, t, lam)
 
     def test_edges_without_classes(self):
         # min(s, t) = 1 has no class and min(s, t) = 2 one: t odd is +-1 mod 2
