@@ -441,9 +441,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true",
         help=f"list families above {ENUMERATE_CAP} partitions, or a --bound H whose sizes "
         f"0..H hold more than {ENUMERATE_CAP} partitions to hook-test; a family's size is "
-        "known in advance for filters all and self_conjugate only, so without --bound "
-        f"distinct and odd are refused only above {GAP_LIMIT} gaps, a limit --force "
-        "does not lift",
+        "known in advance for filters all and self_conjugate, and for distinct when "
+        "max(s, t) = +-1 mod min(s, t); without --bound, other distinct families and odd "
+        f"are refused only above {GAP_LIMIT} gaps, a limit --force does not lift",
     )
     p_enum.set_defaults(func=_cmd_enumerate)
 

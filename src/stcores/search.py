@@ -118,7 +118,7 @@ from .partition import (
 )
 # InfiniteFamilyError is re-exported here.
 from .sequences import InfiniteFamilyError, _require_coprime, _require_int
-from .sequences import anderson_count, fms_selfconjugate_count
+from .sequences import anderson_count, fms_selfconjugate_count, m_poly, n_poly
 
 
 GAP_LIMIT = 1_000_000
@@ -251,14 +251,28 @@ def _predicate(part_filter: str) -> Callable[[Partition], bool]:
         ) from None
 
 
+def _plus_minus_one(a: int, b: int) -> bool:
+    """Whether b = +-1 mod a: the distinct families the paper counts, for a <= b."""
+    return b % a in (1, a - 1)
+
+
 def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
-    """The closed-form count, None for distinct and odd; gated first: comb hangs on a huge pair."""
+    """The closed-form count, None for odd and for distinct unless max(s, t) = +-1 mod min(s, t).
+
+    Gated first: comb hangs on a huge pair.  With a, b = sorted((s, t)) and
+    q, r = divmod(b, a), the distinct count is n_poly(a)(q + 1) for r = a - 1
+    (b = (q + 1)a - 1) and m_poly(a)(q) for r = 1 (b = qa + 1).
+    """
     _predicate(part_filter)
     _require_walkable(s, t)
     if part_filter == "all":
         return anderson_count(s, t)
     if part_filter == "self_conjugate":
         return fms_selfconjugate_count(s, t)
+    a, b = sorted((s, t))
+    if part_filter == "distinct" and _plus_minus_one(a, b):
+        q, r = divmod(b, a)
+        return n_poly(a)(q + 1) if r == a - 1 else m_poly(a)(q)
     return None
 
 
@@ -368,7 +382,7 @@ def summarize_core(s: int, t: int, part_filter: str = "all") -> CoreSummary:
     _predicate(part_filter)  # rejects unknown filters
     _require_walkable(s, t)
     a, b = sorted((s, t))
-    if part_filter == "all" or (part_filter == "distinct" and b % a in (1, a - 1)):
+    if part_filter == "all" or (part_filter == "distinct" and _plus_minus_one(a, b)):
         return _height_summary(s, t, part_filter)
     return _walk_summary(s, t, part_filter)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import add
 
 
 def _require_int(name: str, value: int, minimum: int = 1) -> None:
@@ -106,17 +107,6 @@ class CountPolynomial:
             value = value * d + c
         return value
 
-    def __add__(self, other: "CountPolynomial") -> "CountPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        padded = b + (0,) * (len(a) - len(b))
-        return CountPolynomial(tuple(x + y for x, y in zip(a, padded)))
-
-    def times_d(self) -> "CountPolynomial":
-        """Multiply by the variable d."""
-        return CountPolynomial((0,) + self.coeffs) if self.coeffs else self
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -133,13 +123,18 @@ class CountPolynomial:
         return " + ".join(terms)
 
 
-def _twin_free_recurrence(s: int, x2: CountPolynomial) -> CountPolynomial:
-    """X(s) for X(s) = X(s-1) + d * X(s-2), X(1) = 1 and X(2) = x2, by one loop."""
+def _twin_free_recurrence(s: int, x2: tuple[int, ...]) -> CountPolynomial:
+    """X(s) for X(s) = X(s-1) + d * X(s-2), X(1) = 1 and X(2) = x2, by one loop.
+
+    The steps run on coefficient tuples; only X(s) is built as a CountPolynomial.
+    """
     _require_int("s", s)
-    x1 = CountPolynomial((1,))
+    x1 = (1,)
     for _ in range(s - 1):
-        x1, x2 = x2, x2 + x1.times_d()
-    return x1
+        # X(k) has degree k // 2, so len(x2) is len(x1) or len(x1) + 1: map
+        # stops at d * x1's length and drops only x2's padding zero, if any.
+        x1, x2 = x2, tuple(map(add, (*x2, 0), (0, *x1)))
+    return CountPolynomial(x1)
 
 
 def m_poly(s: int) -> CountPolynomial:
@@ -148,7 +143,7 @@ def m_poly(s: int) -> CountPolynomial:
     As a polynomial in d: X(1) = 1, X(2) = d + 1, and
     X(s) = X(s-1) + d * X(s-2).
     """
-    return _twin_free_recurrence(s, CountPolynomial((1, 1)))
+    return _twin_free_recurrence(s, (1, 1))
 
 
 def n_poly(s: int) -> CountPolynomial:
@@ -157,7 +152,7 @@ def n_poly(s: int) -> CountPolynomial:
     Same recurrence as m_poly with starts X(1) = 1 and X(2) = d.  At d = 1
     this collapses to the Fibonacci numbers: n_poly(s)(1) = F_s.
     """
-    return _twin_free_recurrence(s, CountPolynomial((0, 1)))
+    return _twin_free_recurrence(s, (0, 1))
 
 
 def check_core_twinfree_identity(s: int, d: int) -> bool:

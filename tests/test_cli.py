@@ -157,7 +157,13 @@ class TestEnumerate:
 
     @pytest.mark.parametrize(
         "s,t,part_filter,count",
-        [("20", "21", "all", "6564120420"), ("40", "41", "self_conjugate", "137846528820")],
+        [
+            ("20", "21", "all", "6564120420"),
+            ("40", "41", "self_conjugate", "137846528820"),
+            ("30", "31", "distinct", "1346269"),  # m_poly(30)(1) = F(31)
+            ("30", "59", "distinct", "536870912"),  # n_poly(30)(2), 59 = 2 * 30 - 1
+            ("40", "81", "distinct", "733007751851"),  # m_poly(40)(2), 81 = 2 * 40 + 1
+        ],
     )
     def test_huge_family_refused_before_listing(self, capsys, monkeypatch, s, t, part_filter, count):
         def no_walk(*args, **kwargs):
@@ -191,6 +197,24 @@ class TestEnumerate:
         code, _, _ = run_cli(capsys, "enumerate", "--s", "2", "--t", "4", *extra)
         assert code == 0
         assert calls == [int(extra[1])]
+
+    def test_distinct_family_under_cap_reaches_listing(self, capsys, monkeypatch):
+        # (26, 27) distinct holds F(27) = 196,418 partitions, below the cap
+        calls = []
+
+        def listing_of_size_zero(s, t, part_filter, bound):
+            calls.append((s, t, part_filter, bound))
+            return search_mod._listing(2, 4, "all", 0)
+
+        monkeypatch.setattr(cli_mod, "_listing", listing_of_size_zero)
+        code, _, _ = run_cli(capsys, "enumerate", "--s", "26", "--t", "27", "--filter", "distinct")
+        assert code == 0
+        assert calls == [(26, 27, "distinct", None)]
+
+    def test_negative_bound_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--s", "3", "--t", "5", "--bound", "-1")
+        assert (code, out) == (1, "")
+        assert "--bound must be nonnegative" in err
 
     @pytest.mark.parametrize("part_filter", sorted(search_mod.FILTERS))
     @pytest.mark.parametrize("force", [(), ("--force",)])
@@ -408,6 +432,12 @@ class TestTable:
         assert code == 1
         assert out == ""
         assert "--max-s" in err and "--max-t" in err
+
+    @pytest.mark.parametrize("flag", ["--max", "--max-s"])
+    def test_zero_dimension_exit_1(self, capsys, flag):
+        code, out, err = run_cli(capsys, "table", flag, "0")
+        assert (code, out) == (1, "")
+        assert "table dimensions must be positive" in err
 
     def test_max_s_alone_keeps_the_default_columns(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--max-s", "2", "--format", "csv")
@@ -823,6 +853,20 @@ class TestOut:
         assert out == ""
         assert target.read_text() == "###\n#\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_rename_leaves_existing_file_intact(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "result.txt"
+        target.write_bytes(b"previous output\n")
+
+        def failing_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, out, err = run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write") and "No space left" in err
+        assert target.read_bytes() == b"previous output\n"
+        assert list(tmp_path.iterdir()) == [target]  # the temp file was removed
 
     def test_keeps_mode_of_existing_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"

@@ -67,6 +67,12 @@ class TestBinomialForms:
             fn(2, 4)
         assert err.value.common == 2
 
+    def test_inexact_division_raises(self):
+        # the binomial forms divide exactly; a remainder is a bug, not a count
+        assert stcores.sequences._exact_div(8, 2) == 4
+        with pytest.raises(ArithmeticError, match="7 is not divisible by 2"):
+            stcores.sequences._exact_div(7, 2)
+
     def test_one_infinite_family_error(self):
         assert stcores.search.InfiniteFamilyError is InfiniteFamilyError
         assert stcores.sequences.InfiniteFamilyError is InfiniteFamilyError
@@ -88,13 +94,6 @@ class TestCountPolynomial:
         assert poly(1) == 5
         assert poly(10) == 302
 
-    def test_arithmetic(self):
-        a = CountPolynomial((1, 1))
-        b = CountPolynomial((0, 2, 5))
-        assert (a + b).coeffs == (1, 3, 5)
-        assert a.times_d().coeffs == (0, 1, 1)
-        assert CountPolynomial(()).times_d().coeffs == ()
-
     def test_degree_and_str(self):
         assert CountPolynomial(()).degree == -1
         assert CountPolynomial((7,)).degree == 0
@@ -115,9 +114,15 @@ class TestGeneralizedFibonacci:
         assert m_poly(3).coeffs == (1, 2)  # (d+1) + d*1
 
     def test_recurrences_hold_as_polynomials(self):
-        for s in range(3, 16):
-            assert n_poly(s) == n_poly(s - 1) + n_poly(s - 2).times_d()
-            assert m_poly(s) == m_poly(s - 1) + m_poly(s - 2).times_d()
+        # X(s) = X(s-1) + d * X(s-2), coefficient by coefficient
+        for poly in (n_poly, m_poly):
+            for s in range(3, 16):
+                prev, shifted = poly(s - 1).coeffs, (0,) + poly(s - 2).coeffs
+                width = max(len(prev), len(shifted))
+                prev += (0,) * (width - len(prev))
+                shifted += (0,) * (width - len(shifted))
+                want = CountPolynomial(tuple(x + y for x, y in zip(prev, shifted)))
+                assert poly(s) == want, (poly.__name__, s)
 
     def test_collapse_to_fibonacci_at_one(self):
         for s in range(1, 21):
