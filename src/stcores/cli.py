@@ -18,7 +18,7 @@ import os
 import re
 import stat
 import sys
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from typing import Optional
 
@@ -412,7 +412,15 @@ RENDERERS = {
 
 # -------------------------------------------------------------------- main
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call and only read after that.
+
+    `functools.cache` keeps it, as `search._shared` keeps a fold.  So the
+    `--filter` choices from `FILTERS`, the `verify` claims from `CLAIMS`
+    and each subcommand's `func` are fixed when it is built; `parse_args`
+    writes only the namespace it returns.
+    """
     parser = argparse.ArgumentParser(
         prog="stcores",
         description="Exact enumeration and verification of simultaneous core partitions.",
@@ -498,6 +506,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one request and return its exit code, as the module docstring maps them.
+
+    Every call parses with the process's one parser, `_build_parser()`: the
+    first call builds it, and later calls only read it, so the `FILTERS`
+    and `CLAIMS` choices are those of the first call.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

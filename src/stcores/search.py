@@ -174,22 +174,27 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, tuple[int, 
     as only its descendants would read the mark.  A filter drops x with
     every ideal built on it:
 
-        filter           drop x when                  what stays
-        distinct         x - 1 is chosen              the twins x - 1, x
-        odd              x - len(below) is even       that even part
-        self_conjugate   p - x is x or chosen,        x and its partner
-                         for p in (s + 1, t + 1)
+        filter           drop x when                          what stays
+        distinct         x - 1 is chosen                      the twins x - 1, x
+        odd              x - len(below) is even               that even part
+        self_conjugate   chosen[left[x]] or chosen[right[x]]  x and its partner
 
     Every candidate lies above the last element, so x - 1 can only be that
     element, a gap x's row is the new top row, and a partner below x is
     chosen already.  So node x drops x + 1 from the front of its
     candidates as it builds them, and `odd` and `self_conjugate` test each
-    popped x.  The one invariant: a drop removes exactly the ideals that
-    extend the current ideal plus x by larger elements, and its reason
-    holds in all of them, since a larger element moves neither x's row nor
-    anything below x.  A dropped x is not inherited by later siblings,
-    which lie above it; the children of smaller candidates still inherit
-    it and test it afresh.  Every other filter name walks every ideal.
+    popped x.  For `self_conjugate`, `left` and `right`, built before the
+    walk for p = s + 1 and t + 1, map each arm x to a slot of `chosen`:
+    p - x, the partner, when 0 < p - x < x; top + 2, a slot set once and
+    never cleared, when p - x is x itself; else 0, the root's slot, never
+    set, as a partner above x is not chosen yet and its own test catches
+    the pair.  So the partner test is two reads.  The one invariant: a
+    drop removes exactly the ideals that extend the current ideal plus x
+    by larger elements, and its reason holds in all of them, since a
+    larger element moves neither x's row nor anything below x.  A dropped
+    x is not inherited by later siblings, which lie above it; the children
+    of smaller candidates still inherit it and test it afresh.  Every
+    other filter name walks every ideal.
     """
     arm_sets = part_filter == "self_conjugate"
     frob = s * t - s - t
@@ -197,7 +202,14 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, tuple[int, 
     twin_free = part_filter == "distinct"
     odd_parts = part_filter == "odd"
     a, b = sorted((s, t))
-    chosen = bytearray(top + 2)  # the root's slot 0 exists even at top = -1
+    # slot 0, the root's, exists even at top = -1; slot top + 2 is set for self-partners
+    chosen = bytearray(top + 3)
+    if arm_sets:
+        chosen[top + 2] = 1
+        left, right = (
+            [p - x if 0 < p - x < x else top + 2 if p - x == x else 0 for x in range(top + 1)]
+            for p in (s + 1, t + 1)
+        )
     # the roots: each y with y - a < floor
     below, candidates, last, size = (), list(range(1, min(a + floor, top + 1))), 0, 0
     stack: list[tuple] = []
@@ -211,9 +223,9 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, tuple[int, 
             continue
         x = candidates.pop(0)
         if arm_sets:
-            if any(0 < p - x <= x and (p - x == x or chosen[p - x]) for p in (s + 1, t + 1)):
+            if chosen[left[x]] or chosen[right[x]]:
                 continue
-            parts = (x, *[p + 1 for p in below], *(1,) * (x - 1 - len(below)))
+            parts = (x, *map(add, below, repeat(1)), *(1,) * (x - 1 - len(below)))
             grown = size + 2 * x - 1
         else:
             part = x - len(below)

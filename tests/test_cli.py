@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -952,3 +953,45 @@ class TestGlobalBehavior:
         assert err.endswith(
             "stcores enumerate: error: the following arguments are required: --t\n"
         )
+
+    def test_no_request_changes_the_shared_parser(self, capsys):
+        # main parses every request with one cached parser, so no request may write to it
+        build = cli_mod._build_parser
+        assert build() is build()
+
+        def parsers(top):
+            (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+            return [top, *sub.choices.values()]
+
+        def frozen(value):
+            if isinstance(value, (list, tuple)):
+                return tuple(map(frozen, value))
+            if isinstance(value, dict):
+                return tuple((k, frozen(v)) for k, v in value.items())
+            return value  # anything else compares by identity, or is immutable
+
+        def snapshot(top):
+            return [
+                (p.format_help(), frozen(p._defaults), [frozen(vars(a)) for a in p._actions])
+                for p in parsers(top)
+            ]
+
+        batch = [
+            ("enumerate", "--s", "4", "--t", "5", "--filter", "self_conjugate"),
+            ("table", "--max", "3", "--format", "csv"),
+            ("verify", "fib-distinct", "--max-s", "4"),
+            ("bijection", "--mu", "1,2,1"),
+            ("render", "--partition", "3,1", "--hooks"),
+            ("--help",),
+            ("verify", "--help"),
+            ("frobnicate",),
+            ("enumerate", "--s", "x", "--t", "2"),
+        ]
+        before = snapshot(build())
+        rounds = [[run_cli(capsys, *argv) for argv in batch] for _ in range(2)]
+        assert snapshot(build()) == before
+        assert rounds[0] == rounds[1]
+        assert [code for code, _, _ in rounds[0]] == [0, 0, 0, 0, 0, 0, 0, 1, 1]
+        fresh = build.__wrapped__()
+        assert fresh is not build()
+        assert [p.format_help() for p in parsers(fresh)] == [h for h, _, _ in before]
