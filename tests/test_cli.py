@@ -162,6 +162,7 @@ class TestEnumerate:
             ("20", "21", "all", "6564120420"),
             ("40", "41", "self_conjugate", "137846528820"),
             ("30", "31", "distinct", "1346269"),  # m_poly(30)(1) = F(31)
+            ("40", "41", "distinct", "165580141"),  # m_poly(40)(1) = F(41)
             ("30", "59", "distinct", "536870912"),  # n_poly(30)(2), 59 = 2 * 30 - 1
             ("40", "81", "distinct", "733007751851"),  # m_poly(40)(2), 81 = 2 * 40 + 1
         ],
@@ -329,9 +330,11 @@ LISTING_SHA256 = {
         "9a813c958f0d42c033cbf4b821e7e1076c7024d8385a8ee34f3e9c996f9eba0f",
     "--s 5 --t 13 --filter odd --format csv":
         "5931f18a93027f0d53845b4f1697c7aca409886a7f175d0defdbc24eef2a6a7f",
-    # one- and two-item listings
+    # one- and two-item listings; (1, 1) lists the empty partition alone
     "--s 1 --t 1 --format text":
         "ff67c754fb6bca153ae7d6e1697d3a60d7897cdb047774b34030d26973c8225b",
+    "--s 1 --t 1 --format json":
+        "bbe577817fd5ecf2043f5c02c2a412f28a0b2556f19dbc79a3f1e04b6bc68882",
     "--s 2 --t 3 --format text":
         "c75a37cd4029301f0024931d5350025bbc4437edf8e4e3fddf9d00e3e53b9be9",
 }
@@ -710,8 +713,9 @@ class TestRender:
         ("render", "--partition", "99999999999999999999"),
         ("render", "--partition", "100000000000", "--hooks"),
         ("bijection", "--distinct", "1000000000000"),
+        ("bijection", "--distinct", "1000001"),  # one past the cap, which is mapped
     ],
-    ids=["render", "render-hooks", "bijection"],
+    ids=["render", "render-hooks", "bijection", "bijection-cap"],
 )
 def test_huge_shape_refused_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -846,9 +850,11 @@ class TestOut:
         assert out == ""
         assert target.read_bytes() == b"previous output\n"
 
-    def test_replaces_existing_file_without_leftovers(self, capsys, tmp_path):
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_writes_file_without_leftovers(self, capsys, tmp_path, existing):
         target = tmp_path / "result.txt"
-        target.write_text("previous output\n")
+        if existing:
+            target.write_text("previous output\n")
         code, out, _ = run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))
         assert code == 0
         assert out == ""

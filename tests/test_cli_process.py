@@ -4,12 +4,16 @@ In-process tests call `main` and cannot see an exception that escapes it:
 Python turns that into exit 1 plus a traceback, which looks like a usage
 error by its code alone.  Here each request runs `python -m stcores.cli`,
 and stderr must hold no traceback.  The gap-limit requests run with their
-address space capped at 1 GiB, so a walk sized by a huge pair fails them.
+address space capped at 1 GiB, so a walk sized by a huge pair fails them;
+the DP and `distinct-odd` requests run under 384 MiB, so a fold whose memory
+grows past its stated bound fails them.
 """
 
 import os
 import subprocess
 import sys
+import textwrap
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -22,19 +26,24 @@ except ImportError:  # not on Windows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_GIB = 1 << 30
+FOLD_LIMIT = 384 << 20
 
 
-def run_process(*argv, cwd, preexec_fn=None):
+def run_python(*argv, cwd, preexec_fn=None, timeout=60):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-m", "stcores.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60, preexec_fn=preexec_fn,
+        [sys.executable, *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn,
     )
 
 
-def limit_address_space():
-    """Cap the child at 1 GiB of address space: a walk sized by the pair would fail."""
-    resource.setrlimit(resource.RLIMIT_AS, (ONE_GIB, ONE_GIB))
+def run_process(*argv, cwd, preexec_fn=None, timeout=60):
+    return run_python("-m", "stcores.cli", *argv, cwd=cwd, preexec_fn=preexec_fn, timeout=timeout)
+
+
+def limit_address_space(limit=ONE_GIB):
+    """Cap the child's address space at `limit` bytes: a request that outgrows it fails."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 needs_resource = pytest.mark.skipif(resource is None, reason="needs the resource module")
@@ -63,9 +72,9 @@ def test_exit_code_without_traceback(tmp_path, argv, code):
 
 @needs_resource
 def test_address_space_limit_applies(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", "import resource; print(resource.getrlimit(resource.RLIMIT_AS)[0])"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=60, preexec_fn=limit_address_space,
+    proc = run_python(
+        "-c", "import resource; print(resource.getrlimit(resource.RLIMIT_AS)[0])",
+        cwd=tmp_path, preexec_fn=limit_address_space,
     )
     assert proc.stdout == f"{ONE_GIB}\n", proc.stderr
 
@@ -106,6 +115,42 @@ def test_verify_past_the_walk_passes(tmp_path, argv):
     # (40, 41) holds F(41) = 165,580,141 distinct cores and (29, 31) 1.9e15 cores in all:
     # the residue-height DP answers them
     proc = run_process("verify", *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+def test_bijection_at_the_shape_cap_is_mapped(tmp_path):
+    # perimeter 10^6 is the README's cap and is mapped; 10^6 + 1 is refused (test_cli.py)
+    proc = run_process("bijection", "--distinct", "1000000", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+@needs_resource
+def test_height_dp_fits_its_memory_ceiling(tmp_path):
+    # the DP keeps every class's rows for the backtrack, so its memory grows about as
+    # min(s, t)^4.3: (60, 61) needed more than 96 MiB and passed at 128 MiB
+    code = textwrap.dedent("""
+        import stcores
+        summary = stcores.summarize_core(60, 61, "all")
+        assert summary.count == stcores.anderson_count(60, 61), summary.count
+        assert len(summary.max_size_witnesses) == 1, summary.max_size_witnesses
+        print("ok")
+    """)
+    proc = run_python("-c", code, cwd=tmp_path, preexec_fn=partial(limit_address_space, FOLD_LIMIT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+@needs_resource
+def test_distinct_odd_counts_without_listing(tmp_path):
+    # F(34) = 5,702,887 shapes per family: counted as generated, never listed
+    proc = run_process(
+        "verify", "distinct-odd", "--max-m", "34",
+        cwd=tmp_path, preexec_fn=partial(limit_address_space, FOLD_LIMIT), timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
     assert "Traceback" not in proc.stderr
