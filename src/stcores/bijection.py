@@ -33,7 +33,7 @@ inverses stay the literal construction, one step per composition entry.
 
 from __future__ import annotations
 
-from .partition import Partition, _new, _set_parts
+from .partition import Partition, _trusted
 from .sequences import _require_int
 
 CompositionC = tuple[int, ...]
@@ -84,14 +84,14 @@ def lambda_d(mu: CompositionC) -> Partition:
     """
     mu = _checked(mu)
     if not mu:
-        return Partition._trusted(())
+        return _trusted(())
     parts = [1]  # the rightmost entry is a 1
     for x in reversed(mu[:-1]):
         if x == 1:
             parts[-1] += 1
         else:
             parts.append(parts[-1] + 1)
-    return Partition._trusted(tuple(reversed(parts)))
+    return _trusted(tuple(reversed(parts)))
 
 
 def lambda_o(mu: CompositionC) -> Partition:
@@ -103,14 +103,14 @@ def lambda_o(mu: CompositionC) -> Partition:
     """
     mu = _checked(mu)
     if not mu:
-        return Partition._trusted(())
+        return _trusted(())
     parts = [1]
     for x in reversed(mu[:-1]):
         if x == 1:
             parts.append(parts[-1])
         else:
             parts[-1] += 2
-    return Partition._trusted(tuple(reversed(parts)))
+    return _trusted(tuple(reversed(parts)))
 
 
 # The one text per shape, read by every map's and inverse's check inside
@@ -173,10 +173,8 @@ def distinct_to_odd(lam: Partition) -> Partition:
     ValueError unless lam has distinct parts.
     """
     parts = lam.parts
-    image = _new(Partition)  # its slot is written as Partition._trusted writes it
     if not parts:
-        _set_parts(image, ())
-        return image
+        return _trusted(())
     odd = 2 * len(parts) - 1
     runs = [odd]  # the largest value gets one copy more than its gap
     above = parts[0]
@@ -187,8 +185,7 @@ def distinct_to_odd(lam: Partition) -> Partition:
         runs += (odd,) * gap
         above = p
         odd -= 2
-    _set_parts(image, tuple(runs))
-    return image
+    return _trusted(tuple(runs))  # odd values 2k - 1 down to 1, so weakly decreasing
 
 
 def odd_to_distinct(lam: Partition) -> Partition:
@@ -205,10 +202,8 @@ def odd_to_distinct(lam: Partition) -> Partition:
     p exactly when p is odd.
     """
     parts = lam.parts
-    image = _new(Partition)  # its slot is written as Partition._trusted writes it
     if not parts:
-        _set_parts(image, ())
-        return image
+        return _trusted(())
     sums: list[int] = []
     part = 0
     odd = 1
@@ -222,5 +217,4 @@ def odd_to_distinct(lam: Partition) -> Partition:
         part += 1
     sums.append(part)
     sums.reverse()
-    _set_parts(image, tuple(sums))
-    return image
+    return _trusted(tuple(sums))  # running sums from 1, each above the last, reversed

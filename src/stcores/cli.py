@@ -46,9 +46,8 @@ TABLE_CAP = 12
 ENUMERATE_CAP = 250_000
 # Largest `render` partition (cells) and `bijection --distinct/--odd`
 # partition (perimeter): each builds a list entry per cell or unit of
-# perimeter.  In a fresh process, `bijection --distinct 1000000` takes about
-# 0.7 s as text, 1.1 s as json; `render` of a 1000x1000 square 0.1 s, 0.4 s
-# with --hooks (Python 3.11, 2-CPU VM).
+# perimeter, so time and memory grow with it.  The README gives the times
+# at the cap.
 SHAPE_CAP = 1_000_000
 # verify's range flags: every key some claim takes, in registry order.
 RANGE_KEYS = tuple(dict.fromkeys(k for c in CLAIMS.values() for k in c.defaults))
@@ -102,7 +101,10 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text)
         return
-    old = os.stat(out) if os.path.exists(out) else None
+    try:
+        old = os.stat(out)
+    except FileNotFoundError:
+        old = None
     if old is not None and not (
         stat.S_ISREG(old.st_mode) and old.st_nlink == 1
         and (not hasattr(os, "geteuid") or (old.st_uid, old.st_gid) == (os.geteuid(), os.getegid()))

@@ -1,7 +1,8 @@
 """Integer partitions and their Young-diagram geometry.
 
-A partition is stored as a weakly decreasing tuple of positive integers;
-constructors validate and never sort.  Rows and columns of the Young
+A partition is stored as a weakly decreasing tuple of positive integers.
+`Partition(...)` validates and never sorts; `_trusted` and `_trusted_all`
+are the only builders that skip the checks.  Rows and columns of the Young
 diagram are 1-indexed.  All values are immutable and every function here
 is pure, so everything can be shared freely between threads.
 """
@@ -40,60 +41,6 @@ class Partition:
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"partition parts must be weakly decreasing, got {parts}")
 
-    @classmethod
-    def _trusted(cls, parts: tuple[int, ...]) -> Partition:
-        """Build without the checks of __post_init__.
-
-        Only for callers that already guarantee a weakly decreasing tuple
-        of positive ints, alone or through `_trusted_all`.  They are:
-
-        * `search._wrapped`, which passes `_trusted_all` a listing's parts
-          tuples sorted by `_result`: the walk's, as `search._ideals` puts
-          a new top row x - ell, positive and no shorter than the old one,
-          on each partition of a gap walk, and wraps each self-conjugate
-          one in a hook: a top row x, then the old rows each one longer,
-          at most x as the old top row is at most x - 1, then ones, so the
-          rows stay weakly decreasing and positive; and
-          `enumerate_core_bounded`'s checked ones.
-        * `search._sorted_shapes`, which passes `_trusted_all` the
-          perimeter shapes in canonical order: a largest part then a
-          strictly decreasing combination of smaller positive parts
-          (`_distinct_shapes`) or an odd largest part then a weakly
-          decreasing multiset of odd parts no larger than it
-          (`_odd_shapes`).
-        * `bijection.lambda_d` / `lambda_o`, after checking the
-          composition: from [1], a step only grows the largest part or
-          appends a part at least as large, and the list is then reversed.
-        * `bijection.distinct_to_odd` and `odd_to_distinct`, which write
-          their image's slot directly, as this method does, with no call:
-          the first builds runs of the odd values 2k - 1, ..., 3, 1 in that
-          order, the first at least one long and each later one
-          p_i - p_{i+1} - 1 long, and its own loop raises before a negative
-          run, that is on equal neighbours; the second builds running sums
-          from the bottom, each larger than the last (a closed part adds
-          one, the top adds the largest part's multiplicity, at least
-          one), then reversed, and its own loop raises on the first even
-          part.
-
-        The slot is written through its own descriptor, as __post_init__
-        writes it through object.__setattr__, past the frozen __setattr__.
-        """
-        lam = _new(cls)
-        _set_parts(lam, parts)
-        return lam
-
-    @classmethod
-    def _trusted_all(cls, parts: Sequence[tuple[int, ...]]) -> list[Partition]:
-        """`_trusted` over a sequence, one Partition per parts tuple, in order.
-
-        The same trust; its callers are listed there.  The objects are made
-        and their slots written by `map`, consumed in C, with no Python
-        frame per partition.
-        """
-        wrapped = list(map(_new, repeat(cls, len(parts))))
-        deque(map(_set_parts, wrapped, parts), maxlen=0)
-        return wrapped
-
     @property
     def ell(self) -> int:
         """Number of parts."""
@@ -119,6 +66,30 @@ class Partition:
 
 _new = object.__new__
 _set_parts = Partition.parts.__set__
+
+
+def _trusted(parts: tuple[int, ...]) -> Partition:
+    """A Partition of parts, built without the checks of __post_init__.
+
+    The caller guarantees a weakly decreasing tuple of positive ints and
+    says why at the call.  The slot is written through its own descriptor,
+    as __post_init__ writes it through object.__setattr__, past the frozen
+    __setattr__.
+    """
+    lam = _new(Partition)
+    _set_parts(lam, parts)
+    return lam
+
+
+def _trusted_all(parts: Sequence[tuple[int, ...]]) -> list[Partition]:
+    """`_trusted` over a sequence, one Partition per parts tuple, in order.
+
+    The objects are made and their slots written by `map`, consumed in C,
+    with no Python frame per partition.
+    """
+    wrapped = list(map(_new, repeat(Partition, len(parts))))
+    deque(map(_set_parts, wrapped, parts), maxlen=0)
+    return wrapped
 
 
 def hook_length(lam: Partition, i: int, j: int) -> int:

@@ -37,25 +37,20 @@ ell elements puts a new top row x - ell on the partition built so far,
 positive and no shorter than the old top row, as x is above ell and
 every chosen element; the size is carried along, so no core is summed.
 
-Every filter is decided inside the walk, so it yields only kept ideals.
-It drops a candidate x with every ideal built on it (`_ideals` tables
-why): x - 1 chosen for `distinct` (two consecutive first-column hooks are
-two equal parts), an even new row for `odd`, and a chosen partner for
-`self_conjugate`.  As x - 1 can only be the last element, node x drops
-x + 1 as it builds its candidates, and `distinct` tests nothing when it
-pops one.  `self_conjugate` walks X = {lam_i - i + 1 : lam_i >= i},
-the Frobenius arms plus one (Ford, Mai & Sze 2009): lam is an
-(s, t)-core exactly when X is closed under subtracting s and t while
-positive and no x, x' in X (x = x' included) have x + x' in
-{s + 1, t + 1}; such x, x' are partners.  X lies in 1..(F+1)//2, since
-2*max(X) - 1 is the (1, 1) hook, a gap.  So the same rule walks the arm
-sets with top = (F+1)//2 and the floor 1, the closure holding only while
-positive, from the roots 1..min(s, t, top), and it yields lam itself:
-adding x to X, above every arm, wraps a hook of arm and leg x - 1 around
-the old lam, a new top row x, every old row one longer, then ones down
-to row x, 2x - 1 cells.  That fits, as the old lam has lam_1 <= x - 1
-rows.  The partition-level predicates in FILTERS stay as the oracle for
-the bounded enumerator and the tests.
+Every filter is decided inside the walk, so it yields only kept ideals:
+`_ideals` drops a candidate with every ideal built on it, and its
+docstring tables each filter's drop rule, why it holds, and the two slot
+reads of the partner test.  `self_conjugate` walks
+X = {lam_i - i + 1 : lam_i >= i}, the Frobenius arms plus one (Ford, Mai
+& Sze 2009): lam is an (s, t)-core exactly when X is closed under
+subtracting s and t while positive and no x, x' in X (x = x' included)
+have x + x' in {s + 1, t + 1}; such x, x' are partners.  X lies in
+1..(F+1)//2, since 2*max(X) - 1 is the (1, 1) hook, a gap.  So the same
+rule walks the arm sets with top = (F+1)//2 and the floor 1, the closure
+holding only while positive, from the roots 1..min(s, t, top), and it
+yields lam itself, one wrapped hook per arm.  The partition-level
+predicates in FILTERS stay as the oracle for the bounded enumerator and
+the tests.
 
 `summarize_core` answers `all`, and `distinct` when b = +-1 mod a, by the
 residue-height DP (Anderson 2002), which counts the ideals without
@@ -92,7 +87,7 @@ listings only, over (size, parts) pairs: one bucket per given size, each
 sorted once, the buckets taken by ascending size, so the last bucket is
 the listing's tail and gives its largest size and first witness.  The
 CLI renders these tuples; only the listing entry points wrap them,
-unchecked, as partitions, all at once by `Partition._trusted_all`.  The
+unchecked, as partitions, all at once by `partition._trusted_all`.  The
 perimeter shapes carry no size, so `_sorted_shapes` orders them by two C
 sorts instead and wraps them the same way.  Every listing walks, so it
 stays a second route to every count the DP gives.
@@ -110,6 +105,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .betaset import from_beta, is_twin_free
 from .partition import (
     Partition,
+    _trusted_all,
     conjugate,
     has_distinct_parts,
     has_odd_parts,
@@ -161,7 +157,8 @@ def _ideals(s: int, t: int, part_filter: str) -> Iterator[tuple[int, tuple[int, 
     the arm sets of `self_conjugate`, walked depth first, in pre-order.  A
     gap x puts the new top row x - len(below) on the parts below, adding as
     many cells; an arm x wraps the hook of arm and leg x - 1 around them,
-    2x - 1 cells.  A node is (parts, candidates, last, size): its addable
+    2x - 1 cells: a new top row x, every old row one longer, then ones down
+    to row x.  That fits, as the old lam has lam_1 <= x - 1 rows.  A node is (parts, candidates, last, size): its addable
     elements above its last element, ascending, consumed from the front.
     The current node lives in locals, the stack holds its ancestors, and
     leaving a node unchooses its last element; the root's, 0, is never
@@ -354,8 +351,12 @@ def _listing(s: int, t: int, part_filter: str, bound: Optional[int] = None) -> _
 
 
 def _wrapped(s: int, t: int, part_filter: str, listing: _Listing) -> EnumerationResult:
-    """The listing with each parts tuple wrapped, unchecked, as a Partition."""
-    found = tuple(Partition._trusted_all(listing.parts))
+    """The listing with each parts tuple wrapped, unchecked, as a Partition.
+
+    The walk's rows are positive and weakly decreasing (see `_ideals`), and
+    the bounded route lists the parts of checked partitions.
+    """
+    found = tuple(_trusted_all(listing.parts))
     witnesses = found[listing.witness_start :]
     return EnumerationResult(s, t, part_filter, found, len(found), listing.max_size, witnesses)
 
@@ -558,7 +559,7 @@ def _odd_shapes(m: int) -> Iterator[tuple[int, ...]]:
 
 
 def _sorted_shapes(shapes: Iterable[tuple[int, ...]]) -> list[Partition]:
-    """The shapes in canonical order, wrapped unchecked by `Partition._trusted_all`.
+    """The shapes in canonical order, wrapped unchecked by `partition._trusted_all`.
 
     Two C sorts instead of `_result`: parts descending, then a stable sort
     by size, which keeps that order within each size.  Within one size no
@@ -568,7 +569,7 @@ def _sorted_shapes(shapes: Iterable[tuple[int, ...]]) -> list[Partition]:
     """
     found = sorted(shapes, reverse=True)
     found.sort(key=sum)
-    return Partition._trusted_all(found)
+    return _trusted_all(found)
 
 
 def enumerate_distinct_by_perimeter(m: int) -> list[Partition]:

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from stcores import CLAIMS, Partition, run_claim, shared_fold
+from stcores import CLAIMS, run_claim, shared_fold
 from stcores import cli as cli_mod
 from stcores import claims as claims_mod
+from stcores import partition as partition_mod
 from stcores import search as search_mod
 from stcores import sequences as sequences_mod
 
@@ -225,8 +226,7 @@ def test_distinct_odd_counts_shapes_without_building_partitions(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_result", refused)
     monkeypatch.setattr(search_mod, "_sorted_shapes", refused)
-    monkeypatch.setattr(Partition, "_trusted", refused)
-    monkeypatch.setattr(Partition, "_trusted_all", refused)
+    monkeypatch.setattr(partition_mod, "_new", refused)  # every unchecked wrap starts here
     report = run_claim("distinct-odd", max_m=12)
     assert report.passed, report.mismatches
     assert len(report.cases) == 24  # M = 1..12, two families

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from stcores import claims as claims_mod
 from stcores import cli as cli_mod
+from stcores import partition as partition_mod
 from stcores import search as search_mod
 from stcores import sequences as sequences_mod
 from stcores.cli import main
-from stcores.partition import Partition
 
 GOLDEN = Path(__file__).parent / "data" / "distinct_core_counts_12x12.csv"
 TABLE_GOLDENS = {
@@ -354,12 +354,12 @@ def test_listing_bytes_are_pinned(capsys, flags):
 ])
 def test_listing_wraps_no_core_as_a_partition(capsys, monkeypatch, flags):
     # the listing stays parts tuples from the sort to the renderers: no
-    # wrap, one by one or in bulk, and no shape sort, which also wraps
+    # unchecked wrap, as every one makes its objects by partition._new, and
+    # no shape sort, which also wraps
     def refused(*args):
         raise AssertionError("enumerate wrapped a listed core as a Partition")
 
-    monkeypatch.setattr(Partition, "_trusted", refused)
-    monkeypatch.setattr(Partition, "_trusted_all", refused)
+    monkeypatch.setattr(partition_mod, "_new", refused)
     monkeypatch.setattr(search_mod, "_sorted_shapes", refused)
     code, out, _ = run_cli(capsys, "enumerate", *flags.split())
     assert code == 0
@@ -874,6 +874,16 @@ class TestOut:
         assert err.startswith("error: cannot write") and "No space left" in err
         assert target.read_bytes() == b"previous output\n"
         assert list(tmp_path.iterdir()) == [target]  # the temp file was removed
+
+    def test_target_removed_while_checked_is_written_as_new(self, capsys, monkeypatch, tmp_path):
+        # the target is seen, then removed before it is stat'ed: a new file, not an error
+        target = tmp_path / "result.txt"
+        exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists", lambda path: path == str(target) or exists(path))
+        code, out, err = run_cli(capsys, "render", "--partition", "3,1", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text() == "###\n#\n"
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_keeps_mode_of_existing_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"

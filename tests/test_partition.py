@@ -16,7 +16,7 @@ from stcores import (
     partitions_of,
     perimeter,
 )
-from stcores.partition import hook_rows
+from stcores.partition import _trusted, _trusted_all, hook_rows
 
 from oracles import hook_multiset, iter_partitions, partitions
 
@@ -57,16 +57,18 @@ class TestConstruction:
 class TestLayout:
     def test_trusted_equals_checked(self):
         family = all_upto(10)
-        bulk = Partition._trusted_all([lam.parts for lam in family])
+        bulk = _trusted_all([lam.parts for lam in family])
         assert len(bulk) == len(family)
         for lam, wrapped in zip(family, bulk):
-            for fast in [Partition._trusted(lam.parts), wrapped]:
+            for fast in [_trusted(lam.parts), wrapped]:
                 assert type(fast) is Partition
                 assert fast == lam
                 assert hash(fast) == hash(lam)
                 assert repr(fast) == repr(lam)
-        assert Partition._trusted_all([]) == []
-        assert Partition._trusted_all(()) == []
+        assert _trusted_all([]) == []
+        assert _trusted_all(()) == []
+        # the module functions are the only unchecked builders
+        assert not hasattr(Partition, "_trusted") and not hasattr(Partition, "_trusted_all")
 
     def test_slotted_and_frozen(self):
         lam = Partition([3, 1])
@@ -89,8 +91,8 @@ class TestLayout:
             dataclasses.replace(lam, parts=(1, 3))
 
     def test_pickle_and_deepcopy_round_trip(self):
-        bulk = Partition._trusted_all([(), (4, 2, 2, 1)])
-        for lam in [Partition(()), Partition((3, 3, 1)), Partition._trusted((5, 1)), *bulk]:
+        bulk = _trusted_all([(), (4, 2, 2, 1)])
+        for lam in [Partition(()), Partition((3, 3, 1)), _trusted((5, 1)), *bulk]:
             for copied in [pickle.loads(pickle.dumps(lam)), copy.deepcopy(lam)]:
                 assert type(copied) is Partition
                 assert copied == lam and hash(copied) == hash(lam)
