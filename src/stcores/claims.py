@@ -20,12 +20,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from math import gcd
 from typing import Callable
 
 from . import search, sequences
 from .sequences import _exact_div
+
+# The summary of the (s, t, filter) family, as `shared_fold` returns it.
+Fold = Callable[[int, int, str], search.CoreSummary]
 
 
 @dataclass(frozen=True)
@@ -55,19 +59,14 @@ class Claim:
     summary: str
     defaults: dict
     scope: Callable[..., "tuple[str, list[dict]]"]
-    cases: Callable[[dict, search.Fold], "list[ClaimCase]"]
+    cases: Callable[[dict, Fold], "list[ClaimCase]"]
 
 
 def _case(params: dict, expected, got) -> ClaimCase:
     return ClaimCase(params, str(expected), str(got), expected == got)
 
 
-# Closed forms behind the max-size and power-of-two claims.
-
-def conjecture2_count(s: int) -> int:
-    """Conjectured count of (s, s+2)-core partitions into distinct parts, s odd."""
-    return 2 ** (s - 1)
-
+# Closed forms behind the max-size claims.
 
 def max_size_s_plus_2(s: int) -> int:
     """Observed largest size of an (s, s+2)-core with distinct parts, s odd."""
@@ -102,23 +101,23 @@ def witness_count_s_plus_1(s: int) -> int:
 
 def _count_cases(
     part_filter: str, t_of: Callable[[dict], int], closed_form: Callable[[dict], int]
-) -> Callable[[dict, search.Fold], list[ClaimCase]]:
+) -> Callable[[dict, Fold], list[ClaimCase]]:
     """Cases that compare the fold's count of the (s, t_of(p)) family with closed_form(p)."""
 
-    def cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
+    def cases(p: dict, fold: Fold) -> list[ClaimCase]:
         return [_case(p, closed_form(p), fold(p["s"], t_of(p), part_filter).count)]
 
     return cases
 
 
-def _distinct_odd_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
+def _distinct_odd_cases(p: dict, fold: Fold) -> list[ClaimCase]:
     m = p["m"]
     want = sequences.fibonacci(m)
     shapes = {"distinct": search._distinct_shapes(m), "odd": search._odd_shapes(m)}
     return [_case({"m": m, "family": f}, want, sum(1 for _ in it)) for f, it in shapes.items()]
 
 
-def _fib_general_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
+def _fib_general_cases(p: dict, fold: Fold) -> list[ClaimCase]:
     d, s = p["d"], p["s"]
     want = sequences.n_poly(s)(d)
     cases = [
@@ -140,7 +139,7 @@ def _fib_general_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
     return cases
 
 
-def _maxsize_s_s2_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
+def _maxsize_s_s2_cases(p: dict, fold: Fold) -> list[ClaimCase]:
     s = p["s"]
     summary = fold(s, s + 2, "distinct")
     witnesses = summary.max_size_witnesses
@@ -157,7 +156,7 @@ def _maxsize_s_s2_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
     ]
 
 
-def _maxsize_s_s1_cases(p: dict, fold: search.Fold) -> list[ClaimCase]:
+def _maxsize_s_s1_cases(p: dict, fold: Fold) -> list[ClaimCase]:
     s = p["s"]
     summary = fold(s, s + 1, "distinct")
     return [
@@ -232,7 +231,9 @@ CLAIMS: dict[str, Claim] = {
             "is 2^(s-1)",
             {"max_s": 15},
             _odd_s_scope,
-            _count_cases("distinct", lambda p: p["s"] + 2, lambda p: conjecture2_count(p["s"])),
+            _count_cases(
+                "distinct", lambda p: p["s"] + 2, lambda p: sequences.conjecture2_count(p["s"])
+            ),
         ),
         Claim(
             "maxsize-s-s2",
@@ -275,7 +276,7 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def _guarded_cases(claim: Claim, params: dict, fold: search.Fold) -> list[ClaimCase]:
+def _guarded_cases(claim: Claim, params: dict, fold: Fold) -> list[ClaimCase]:
     """The claim's cases for params; a builder that raises yields one FAIL case."""
     try:
         return claim.cases(params, fold)
@@ -285,16 +286,22 @@ def _guarded_cases(claim: Claim, params: dict, fold: search.Fold) -> list[ClaimC
         return [ClaimCase(params, "no exception", type(exc).__name__, False)]
 
 
-def shared_fold() -> search.Fold:
-    """A fresh memo over search.summarize_core, looked up at each fold: see `search._shared`.
+def shared_fold() -> Fold:
+    """A fresh memo over search.summarize_core, for the one request that builds it.
 
-    Pass one to several run_claim calls of one request to fold each
-    unordered (s, t, filter) family once across them.
+    The (s, t)- and (t, s)-cores are one family, so the memo is keyed by
+    (min(s, t), max(s, t), part_filter): each family is folded once, and
+    either order gets that summary, its s <= t.  search.summarize_core is
+    looked up at each miss, so a patch of that name reaches every fold.  A
+    fold that raises is not kept, as `functools.cache` stores only returns.
+    The memo lives as long as the returned function: build one per request
+    and pass it to every claim or table cell of that request.
     """
-    return search._shared(lambda s, t, part_filter: search.summarize_core(s, t, part_filter))
+    memo = cache(lambda s, t, part_filter: search.summarize_core(s, t, part_filter))
+    return lambda s, t, part_filter: memo(min(s, t), max(s, t), part_filter)
 
 
-def run_claim(name: str, *, fold: search.Fold | None = None, **ranges: int) -> VerificationReport:
+def run_claim(name: str, *, fold: Fold | None = None, **ranges: int) -> VerificationReport:
     """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError.
 
     A range value other than None must be an exact int, not a bool.  A case

@@ -30,9 +30,7 @@ from .search import (
     GAP_LIMIT,
     InfiniteFamilyError,
     _listing,
-    _shared,
     family_size,
-    summarize_core,
 )
 
 EXIT_OK = 0
@@ -271,7 +269,7 @@ def _cmd_table(args) -> dict:
         )
     default = INF_TEXT if args.format == "text" else INF_CSV
     marker = default if args.inf_marker is None else args.inf_marker
-    fold = _shared(summarize_core)  # cells (s, t) and (t, s) count one family
+    fold = shared_fold()  # cells (s, t) and (t, s) count one family
     cells = [
         [str(fold(s, t, args.part_filter).count) if gcd(s, t) == 1 else marker
          for t in range(1, max_t + 1)]
@@ -418,10 +416,10 @@ RENDERERS = {
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call and only read after that.
 
-    `functools.cache` keeps it, as `search._shared` keeps a fold.  So the
-    `--filter` choices from `FILTERS`, the `verify` claims from `CLAIMS`
-    and each subcommand's `func` are fixed when it is built; `parse_args`
-    writes only the namespace it returns.
+    `functools.cache` keeps it, as `claims.shared_fold` keeps a request's
+    folds.  So the `--filter` choices from `FILTERS`, the `verify` claims
+    from `CLAIMS` and each subcommand's `func` are fixed when it is built;
+    `parse_args` writes only the namespace it returns.
     """
     parser = argparse.ArgumentParser(
         prog="stcores",
@@ -452,8 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"list families above {ENUMERATE_CAP} partitions, or a --bound H whose sizes "
         f"0..H hold more than {ENUMERATE_CAP} partitions to hook-test; a family's size is "
         "known in advance for filters all and self_conjugate, and for distinct when "
-        "max(s, t) = +-1 mod min(s, t); without --bound, other distinct families and odd "
-        f"are refused only above {GAP_LIMIT} gaps, a limit --force does not lift",
+        "max(s, t) = +-1 mod min(s, t) or the pair is (s, s+2); without --bound, other "
+        f"distinct families and odd are refused only above {GAP_LIMIT} gaps, a limit "
+        "--force does not lift",
     )
     p_enum.set_defaults(func=_cmd_enumerate)
 

@@ -97,7 +97,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -114,7 +113,7 @@ from .partition import (
 )
 # InfiniteFamilyError is re-exported here.
 from .sequences import InfiniteFamilyError, _require_coprime, _require_int
-from .sequences import anderson_count, fms_selfconjugate_count, m_poly, n_poly
+from .sequences import anderson_count, conjecture2_count, fms_selfconjugate_count, m_poly, n_poly
 
 
 GAP_LIMIT = 1_000_000
@@ -266,11 +265,12 @@ def _plus_minus_one(a: int, b: int) -> bool:
 
 
 def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
-    """The closed-form count, None for odd and for distinct unless max(s, t) = +-1 mod min(s, t).
+    """The closed-form count; None for odd and for the distinct pairs with no closed form.
 
     Gated first: comb hangs on a huge pair.  With a, b = sorted((s, t)) and
     q, r = divmod(b, a), the distinct count is n_poly(a)(q + 1) for r = a - 1
-    (b = (q + 1)a - 1) and m_poly(a)(q) for r = 1 (b = qa + 1).
+    (b = (q + 1)a - 1), m_poly(a)(q) for r = 1 (b = qa + 1) and
+    conjecture2_count(a) for b = a + 2, where coprimality makes a odd.
     """
     _predicate(part_filter)
     _require_walkable(s, t)
@@ -282,6 +282,8 @@ def family_size(s: int, t: int, part_filter: str) -> Optional[int]:
     if part_filter == "distinct" and _plus_minus_one(a, b):
         q, r = divmod(b, a)
         return n_poly(a)(q + 1) if r == a - 1 else m_poly(a)(q)
+    if part_filter == "distinct" and b == a + 2:
+        return conjecture2_count(a)
     return None
 
 
@@ -487,23 +489,6 @@ def _height_summary(s: int, t: int, part_filter: str) -> CoreSummary:
                 stack.append((j - 1, h_prev, ell, best, (h, above)))
     top = tuple(sorted(witnesses, key=canonical_key))
     return CoreSummary(s, t, part_filter, sum(paths), max_size, top)
-
-
-Fold = Callable[[int, int, str], CoreSummary]
-
-
-def _shared(fold: Fold) -> Fold:
-    """fold, memoized by unordered pair and filter, for the one request that makes it.
-
-    The (s, t)- and (t, s)-cores are one family, so the returned function
-    calls `functools.cache(fold)` with (min(s, t), max(s, t), part_filter):
-    each family is folded once and either order gets that summary, its
-    s <= t.  A fold that raises is not kept, as `cache` stores only
-    returns.  The memo lives as long as the returned function, so build
-    one per request.
-    """
-    memo = cache(fold)
-    return lambda s, t, part_filter: memo(min(s, t), max(s, t), part_filter)
 
 
 def enumerate_core_bounded(

@@ -79,6 +79,11 @@ def fms_selfconjugate_count(s: int, t: int) -> int:
     return comb(s // 2 + t // 2, s // 2)
 
 
+def conjecture2_count(s: int) -> int:
+    """Conjectured count of (s, s+2)-core partitions into distinct parts, s odd: 2^(s-1)."""
+    return 2 ** (s - 1)
+
+
 @dataclass(frozen=True)
 class CountPolynomial:
     """Polynomial with nonnegative integer coefficients; coeffs[k] multiplies d**k.

@@ -53,7 +53,7 @@ def test_filters_are_the_cli_choices(command):
 def test_patched_names_exist(monkeypatch):
     assert callable(search.canonical_key)
     assert callable(cli._render_table)
-    assert callable(cli._listing) and callable(cli.summarize_core)
+    assert callable(cli._listing) and callable(search.summarize_core)
     post_init = Partition.__dict__.get("__post_init__")
     assert callable(post_init)
     # partition.constructed patches __post_init__ on the class object, and

@@ -99,7 +99,7 @@ MUTATIONS = [
     ("distinct-odd", sequences_mod, "fibonacci", lambda n: n + 1, {"max_m": 6}),
     ("fib-general", sequences_mod, "n_poly",
      lambda s: sequences_mod.CountPolynomial((1, 1)), {"max_d": 2, "max_s": 5}),
-    ("conjecture2", claims_mod, "conjecture2_count", lambda s: 2 ** (s - 1) + 1, {"max_s": 7}),
+    ("conjecture2", sequences_mod, "conjecture2_count", lambda s: 2 ** (s - 1) + 1, {"max_s": 7}),
     ("maxsize-s-s2", claims_mod, "max_size_s_plus_2", lambda s: 0, {"max_s": 7}),
     ("maxsize-s-s2", claims_mod, "witness_length_s_plus_2", lambda s: 1, {"max_s": 7}),
     ("maxsize-s-s2", claims_mod, "witness_largest_part_s_plus_2", lambda s: 1, {"max_s": 7}),

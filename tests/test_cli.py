@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stcores import claims as claims_mod
 from stcores import cli as cli_mod
 from stcores import partition as partition_mod
 from stcores import search as search_mod
@@ -165,6 +164,7 @@ class TestEnumerate:
             ("40", "41", "distinct", "165580141"),  # m_poly(40)(1) = F(41)
             ("30", "59", "distinct", "536870912"),  # n_poly(30)(2), 59 = 2 * 30 - 1
             ("40", "81", "distinct", "733007751851"),  # m_poly(40)(2), 81 = 2 * 40 + 1
+            ("41", "43", "distinct", "1099511627776"),  # conjecture2_count(41) = 2^40
         ],
     )
     def test_huge_family_refused_before_listing(self, capsys, monkeypatch, s, t, part_filter, count):
@@ -462,7 +462,7 @@ class TestTable:
 
 @pytest.fixture
 def fold_calls(monkeypatch):
-    """The families summarize_core folds, by either the search or the cli name, in call order."""
+    """The families search.summarize_core folds, in call order: every fold of table and verify."""
     calls = []
     original = search_mod.summarize_core
 
@@ -471,7 +471,6 @@ def fold_calls(monkeypatch):
         return original(s, t, part_filter)
 
     monkeypatch.setattr(search_mod, "summarize_core", counted)
-    monkeypatch.setattr(cli_mod, "summarize_core", counted)
     return calls
 
 
@@ -499,10 +498,15 @@ class TestOneFoldPerFamily:
         assert len(self._unordered(fold_calls)) == 46
 
     def test_nothing_outlives_a_request(self, capsys, fold_calls):
-        for _ in range(2):
-            assert run_cli(capsys, "verify", "all", "--format", "csv")[0] == 0
-        assert len(fold_calls) == 220
-        assert fold_calls[:110] == fold_calls[110:]
+        for argv, folds in [
+            (("verify", "all"), 110),
+            (("table", "--max", "12", "--filter", "distinct"), 46),
+        ]:
+            fold_calls.clear()
+            for _ in range(2):
+                assert run_cli(capsys, *argv, "--format", "csv")[0] == 0
+            assert len(fold_calls) == 2 * folds, argv
+            assert fold_calls[:folds] == fold_calls[folds:], argv
 
 
 class TestVerify:
@@ -574,7 +578,7 @@ class TestVerify:
         assert out == "" and "no cases" in err
 
     def test_failing_claim_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(claims_mod, "conjecture2_count", lambda s: 2 ** (s - 1) + 1)
+        monkeypatch.setattr(sequences_mod, "conjecture2_count", lambda s: 2 ** (s - 1) + 1)
         code, out, _ = run_cli(capsys, "verify", "conjecture2", "--max-s", "7")
         assert code == 3
         assert "FAIL" in out

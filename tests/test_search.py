@@ -31,6 +31,7 @@ from stcores import (
     m_poly,
     n_poly,
     partitions_of,
+    shared_fold,
     to_beta,
 )
 from stcores import search
@@ -506,14 +507,20 @@ class TestSummaryFold:
         a, b = sorted(pair)
         if part_filter in CLOSED_FORMS:
             assert size == summary.count == CLOSED_FORMS[part_filter](s, t)
-        elif part_filter == "distinct" and b % a in (1, a - 1):
+        elif part_filter == "distinct" and (b % a in (1, a - 1) or b == a + 2):
             assert size == summary.count
         else:
             assert size is None
 
+    def test_s_plus_2_distinct_size_matches_the_walk(self):
+        # family_size caps these listings by conjecture2_count, not by a walk
+        for s in range(1, 18, 2):
+            want = search._walk_summary(s, s + 2, "distinct").count
+            assert search.family_size(s, s + 2, "distinct") == want, s
+
     @pytest.mark.parametrize("part_filter", sorted(FILTERS))
     def test_mirrored_pairs_fold_alike(self, part_filter):
-        # the fact behind `_shared`'s key: the (s, t)- and (t, s)-cores are one family
+        # the fact behind `shared_fold`'s key: the (s, t)- and (t, s)-cores are one family
         for s in range(1, 13):
             for t in range(s + 1, 13):
                 if gcd(s, t) == 1:
@@ -532,34 +539,35 @@ class TestSummaryFold:
 
 
 class TestSharedFold:
-    """search._shared: one fold per unordered (s, t, filter) family, for as long as it lives."""
+    """claims.shared_fold: one fold per unordered (s, t, filter) family, for as long as it lives."""
 
     @staticmethod
-    def _counted():
+    def _counted(monkeypatch):
         calls = []
 
         def fold(s, t, part_filter):
             calls.append((s, t, part_filter))
             return summarize_core(s, t, part_filter)
 
-        return calls, fold
+        monkeypatch.setattr(search, "summarize_core", fold)
+        return calls
 
-    def test_folds_each_unordered_family_once_as_min_max(self):
-        calls, fold = self._counted()
-        shared = search._shared(fold)
+    def test_folds_each_unordered_family_once_as_min_max(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        shared = shared_fold()
         first = shared(7, 5, "distinct")
         assert shared(5, 7, "distinct") is first and shared(7, 5, "distinct") is first
         assert (first.s, first.t) == (5, 7)
         assert shared(5, 7, "all").count == anderson_count(5, 7)
         assert calls == [(5, 7, "distinct"), (5, 7, "all")]
 
-    def test_a_fresh_memo_folds_again(self):
-        calls, fold = self._counted()
-        search._shared(fold)(3, 4, "odd")
-        search._shared(fold)(4, 3, "odd")
+    def test_a_fresh_memo_folds_again(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        shared_fold()(3, 4, "odd")
+        shared_fold()(4, 3, "odd")
         assert calls == [(3, 4, "odd"), (3, 4, "odd")]
 
-    def test_a_fold_that_raises_is_not_kept(self):
+    def test_a_fold_that_raises_is_not_kept(self, monkeypatch):
         calls = []
 
         def flaky(s, t, part_filter):
@@ -568,7 +576,8 @@ class TestSharedFold:
                 raise ArithmeticError("first fold fails")
             return summarize_core(s, t, part_filter)
 
-        shared = search._shared(flaky)
+        monkeypatch.setattr(search, "summarize_core", flaky)
+        shared = shared_fold()
         with pytest.raises(ArithmeticError):
             shared(3, 5, "all")
         assert shared(5, 3, "all").count == anderson_count(3, 5)
