@@ -7,13 +7,13 @@ counts, max sizes and witnesses are compared (the residue-height DP for
 `all` and for `distinct` (s, t) with max = +-1 mod min, one fold over the
 walk for every other family), the unsorted perimeter shapes where only
 their number is.  The expected side is a formula, so corrupting either
-one makes the claim fail loudly.  The case builders take
-the fold as an argument, by default a `shared_fold()`, a memo over
-`search.summarize_core`; one request passes the same one to every claim it
-runs, so it folds each unordered (s, t, filter) family once.  A claim's
-scope returns its range text and its case params together, and the claims
-that compare the fold's count of one family with a closed form share one
-case builder, `_count_cases`.
+one makes the claim fail loudly.  A case reads at most one (s, t, filter)
+family, named by its claim's `family`, and its builder only compares that
+family's summary with a formula.  `run_claim` checks every family of the
+range against `search.GAP_LIMIT`, then folds each through one fold, by
+default a `shared_fold()`, a memo over `search.summarize_core`; one request
+passes the same one to every claim it runs, so it folds each unordered
+family once.  A claim's scope returns its range text and lazy case params.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from math import gcd
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import search, sequences
 from .sequences import _exact_div
@@ -58,8 +58,9 @@ class Claim:
     name: str
     summary: str
     defaults: dict
-    scope: Callable[..., "tuple[str, list[dict]]"]
-    cases: Callable[[dict, Fold], "list[ClaimCase]"]
+    scope: Callable[..., "tuple[str, Iterator[dict]]"]
+    family: Callable[[dict], "tuple[int, int, str] | None"]  # the one family a case reads
+    cases: Callable[[dict, "search.CoreSummary | None"], "list[ClaimCase]"]
 
 
 def _case(params: dict, expected, got) -> ClaimCase:
@@ -93,55 +94,45 @@ def witness_count_s_plus_1(s: int) -> int:
     return 2 if s >= 4 and s % 3 == 1 else 1
 
 
-# Case builders, each called with the case params and the fold.  Formulas
-# are reached through their defining module so a deliberately corrupted
-# formula (monkeypatched in the harness meta-test) is picked up at call
-# time; hence `_count_cases` takes callables of the case params, not
-# formula objects bound when the registry is built.
+# Case builders, each called with the case params and the summary of the
+# family its claim names (None if it names none); no builder folds.  Formulas
+# are reached through their defining module so a corrupted formula
+# (monkeypatched in the harness meta-test) is picked up at call time; hence
+# `_count_cases` takes a callable of the case params, not a bound formula.
 
-def _count_cases(
-    part_filter: str, t_of: Callable[[dict], int], closed_form: Callable[[dict], int]
-) -> Callable[[dict, Fold], list[ClaimCase]]:
-    """Cases that compare the fold's count of the (s, t_of(p)) family with closed_form(p)."""
+def _count_cases(closed_form: Callable[[dict], int]) -> Callable[..., list[ClaimCase]]:
+    """Cases that compare the count of the case's family with closed_form(p)."""
 
-    def cases(p: dict, fold: Fold) -> list[ClaimCase]:
-        return [_case(p, closed_form(p), fold(p["s"], t_of(p), part_filter).count)]
+    def cases(p: dict, summary: search.CoreSummary) -> list[ClaimCase]:
+        return [_case(p, closed_form(p), summary.count)]
 
     return cases
 
 
-def _distinct_odd_cases(p: dict, fold: Fold) -> list[ClaimCase]:
+def _distinct_odd_cases(p: dict, summary: None) -> list[ClaimCase]:
     m = p["m"]
     want = sequences.fibonacci(m)
     shapes = {"distinct": search._distinct_shapes(m), "odd": search._odd_shapes(m)}
     return [_case({"m": m, "family": f}, want, sum(1 for _ in it)) for f, it in shapes.items()]
 
 
-def _fib_general_cases(p: dict, fold: Fold) -> list[ClaimCase]:
+def _fib_general_family(p: dict) -> tuple[int, int, str] | None:
+    d, s = p["d"], p["s"]
+    return (s, d * s - 1, "distinct") if d * s > 1 else None  # (1, 1) has no companion period
+
+
+def _fib_general_cases(p: dict, summary: search.CoreSummary | None) -> list[ClaimCase]:
     d, s = p["d"], p["s"]
     want = sequences.n_poly(s)(d)
-    cases = [
-        _case(
-            {"d": d, "s": s, "check": "tuples"},
-            want,
-            search.count_twin_free_tuples(s, d, exclude_last=True),
-        )
-    ]
-    t = d * s - 1
-    if t >= 1:  # (d, s) = (1, 1) has no companion period
-        cases.append(
-            _case(
-                {"d": d, "s": s, "check": "enumeration"},
-                want,
-                fold(s, t, "distinct").count,
-            )
-        )
+    tuples = search.count_twin_free_tuples(s, d, exclude_last=True)
+    cases = [_case({"d": d, "s": s, "check": "tuples"}, want, tuples)]
+    if summary is not None:
+        cases.append(_case({"d": d, "s": s, "check": "enumeration"}, want, summary.count))
     return cases
 
 
-def _maxsize_s_s2_cases(p: dict, fold: Fold) -> list[ClaimCase]:
+def _maxsize_s_s2_cases(p: dict, summary: search.CoreSummary) -> list[ClaimCase]:
     s = p["s"]
-    summary = fold(s, s + 2, "distinct")
     witnesses = summary.max_size_witnesses
     top = witnesses[0]
     return [
@@ -156,9 +147,8 @@ def _maxsize_s_s2_cases(p: dict, fold: Fold) -> list[ClaimCase]:
     ]
 
 
-def _maxsize_s_s1_cases(p: dict, fold: Fold) -> list[ClaimCase]:
+def _maxsize_s_s1_cases(p: dict, summary: search.CoreSummary) -> list[ClaimCase]:
     s = p["s"]
-    summary = fold(s, s + 1, "distinct")
     return [
         _case({"s": s, "check": "max_size"}, max_size_s_plus_1(s), summary.max_size),
         _case(
@@ -170,30 +160,30 @@ def _maxsize_s_s1_cases(p: dict, fold: Fold) -> list[ClaimCase]:
 
 
 # Scopes.  Each kind of range is one function of a claim's range flags that
-# returns the range text for the report and the list of case params, so the
-# text and the cases it describes come from one place.
+# returns the range text for the report and the case params, yielded
+# lazily, so the text and the cases it describes come from one place.
 
-def _s_scope(max_s: int) -> tuple[str, list[dict]]:
-    return f"s = 1..{max_s}", [{"s": s} for s in range(1, max_s + 1)]
+def _s_scope(max_s: int) -> tuple[str, Iterator[dict]]:
+    return f"s = 1..{max_s}", ({"s": s} for s in range(1, max_s + 1))
 
-def _odd_s_scope(max_s: int) -> tuple[str, list[dict]]:
-    return f"odd s = 3..{max_s}", [{"s": s} for s in range(3, max_s + 1, 2)]
+def _odd_s_scope(max_s: int) -> tuple[str, Iterator[dict]]:
+    return f"odd s = 3..{max_s}", ({"s": s} for s in range(3, max_s + 1, 2))
 
-def _m_scope(max_m: int) -> tuple[str, list[dict]]:
-    return f"M = 1..{max_m}", [{"m": m} for m in range(1, max_m + 1)]
+def _m_scope(max_m: int) -> tuple[str, Iterator[dict]]:
+    return f"M = 1..{max_m}", ({"m": m} for m in range(1, max_m + 1))
 
-def _ds_scope(max_d: int, max_s: int) -> tuple[str, list[dict]]:
-    return f"d = 1..{max_d}, s = 1..{max_s}", [
+def _ds_scope(max_d: int, max_s: int) -> tuple[str, Iterator[dict]]:
+    return f"d = 1..{max_d}, s = 1..{max_s}", (
         {"d": d, "s": s} for d in range(1, max_d + 1) for s in range(1, max_s + 1)
-    ]
+    )
 
-def _coprime_pair_scope(max_sum: int) -> tuple[str, list[dict]]:
-    return f"coprime s < t with s + t <= {max_sum}", [
+def _coprime_pair_scope(max_sum: int) -> tuple[str, Iterator[dict]]:
+    return f"coprime s < t with s + t <= {max_sum}", (
         {"s": s, "t": t}
         for s in range(1, max_sum)
         for t in range(s + 1, max_sum - s + 1)
         if gcd(s, t) == 1
-    ]
+    )
 
 
 CLAIMS: dict[str, Claim] = {
@@ -205,9 +195,8 @@ CLAIMS: dict[str, Claim] = {
             "Fibonacci number F(s+1)",
             {"max_s": 20},
             _s_scope,
-            _count_cases(
-                "distinct", lambda p: p["s"] + 1, lambda p: sequences.fibonacci(p["s"] + 1)
-            ),
+            lambda p: (p["s"], p["s"] + 1, "distinct"),
+            _count_cases(lambda p: sequences.fibonacci(p["s"] + 1)),
         ),
         Claim(
             "distinct-odd",
@@ -215,6 +204,7 @@ CLAIMS: dict[str, Claim] = {
             "are both counted by F(M)",
             {"max_m": 20},
             _m_scope,
+            lambda p: None,
             _distinct_odd_cases,
         ),
         Claim(
@@ -223,6 +213,7 @@ CLAIMS: dict[str, Claim] = {
             "the generalized Fibonacci polynomial and the twin-free tuple brute force",
             {"max_d": 3, "max_s": 8},
             _ds_scope,
+            _fib_general_family,
             _fib_general_cases,
         ),
         Claim(
@@ -231,9 +222,8 @@ CLAIMS: dict[str, Claim] = {
             "is 2^(s-1)",
             {"max_s": 15},
             _odd_s_scope,
-            _count_cases(
-                "distinct", lambda p: p["s"] + 2, lambda p: sequences.conjecture2_count(p["s"])
-            ),
+            lambda p: (p["s"], p["s"] + 2, "distinct"),
+            _count_cases(lambda p: sequences.conjecture2_count(p["s"])),
         ),
         Claim(
             "maxsize-s-s2",
@@ -241,6 +231,7 @@ CLAIMS: dict[str, Claim] = {
             "(s^2-1)(s+3)(5s+17)/384, (s-1)(s+5)/8 parts, largest part 3(s^2-1)/8",
             {"max_s": 15},
             _odd_s_scope,
+            lambda p: (p["s"], p["s"] + 2, "distinct"),
             _maxsize_s_s2_cases,
         ),
         Claim(
@@ -249,6 +240,7 @@ CLAIMS: dict[str, Claim] = {
             "with two maximal witnesses iff s = 1 mod 3 (s >= 4), else one",
             {"max_s": 18},
             _s_scope,
+            lambda p: (p["s"], p["s"] + 1, "distinct"),
             _maxsize_s_s1_cases,
         ),
         Claim(
@@ -256,9 +248,8 @@ CLAIMS: dict[str, Claim] = {
             "the number of (s, t)-core partitions is C(s+t, s)/(s+t) for coprime s, t",
             {"max_sum": 15},
             _coprime_pair_scope,
-            _count_cases(
-                "all", lambda p: p["t"], lambda p: sequences.anderson_count(p["s"], p["t"])
-            ),
+            lambda p: (p["s"], p["t"], "all"),
+            _count_cases(lambda p: sequences.anderson_count(p["s"], p["t"])),
         ),
         Claim(
             "selfconjugate",
@@ -266,21 +257,19 @@ CLAIMS: dict[str, Claim] = {
             "C(s//2 + t//2, s//2) for coprime s, t",
             {"max_sum": 15},
             _coprime_pair_scope,
-            _count_cases(
-                "self_conjugate",
-                lambda p: p["t"],
-                lambda p: sequences.fms_selfconjugate_count(p["s"], p["t"]),
-            ),
+            lambda p: (p["s"], p["t"], "self_conjugate"),
+            _count_cases(lambda p: sequences.fms_selfconjugate_count(p["s"], p["t"])),
         ),
     ]
 }
 
 
 def _guarded_cases(claim: Claim, params: dict, fold: Fold) -> list[ClaimCase]:
-    """The claim's cases for params; a builder that raises yields one FAIL case."""
+    """The cases for params, their family folded; a fold or builder that raises is one FAIL case."""
     try:
-        return claim.cases(params, fold)
-    except (MemoryError, search.GapLimitError):  # running out of memory or gaps refutes nothing
+        family = claim.family(params)
+        return claim.cases(params, None if family is None else fold(*family))
+    except MemoryError:  # running out of memory refutes nothing
         raise
     except Exception as exc:  # a broken formula or enumerator fails the claim, not the run
         return [ClaimCase(params, "no exception", type(exc).__name__, False)]
@@ -304,12 +293,13 @@ def shared_fold() -> Fold:
 def run_claim(name: str, *, fold: Fold | None = None, **ranges: int) -> VerificationReport:
     """Run one claim; unknown names raise KeyError, bad or empty ranges ValueError.
 
-    A range value other than None must be an exact int, not a bool.  A case
-    builder that raises, short of MemoryError and search.GapLimitError,
-    becomes a FAIL case.  fold
-    gives the families' summaries, a fresh `shared_fold()` by default; a
-    fold shared with earlier claims answers their families from its memo,
-    so this report's seconds exclude them.
+    A range value other than None must be an exact int, not a bool.  Every
+    family the range's cases read is checked first, so a range with one
+    over search.GAP_LIMIT raises search.GapLimitError before any fold.  A
+    fold or case builder that raises, short of MemoryError, becomes a FAIL
+    case.  fold gives the families' summaries, a fresh `shared_fold()` by
+    default; a fold shared with earlier claims answers their families from
+    its memo, so this report's seconds exclude them.
     """
     fold = shared_fold() if fold is None else fold
     claim = CLAIMS[name]
@@ -325,10 +315,12 @@ def run_claim(name: str, *, fold: Fold | None = None, **ranges: int) -> Verifica
             raise ValueError(f"claim {name!r} needs an integer {flag}, got {value!r}")
         merged[key] = value
     start = time.perf_counter()
-    described, param_list = claim.scope(**merged)
-    if not param_list:
+    for s, t, _ in filter(None, map(claim.family, claim.scope(**merged)[1])):
+        search._require_walkable(s, t)
+    described, params = claim.scope(**merged)
+    cases = tuple(chain.from_iterable(_guarded_cases(claim, p, fold) for p in params))
+    if not cases:  # every param yields a case, so an empty range folded nothing
         raise ValueError(f"claim {name!r} has no cases in the range {described}")
-    cases = tuple(chain.from_iterable(_guarded_cases(claim, p, fold) for p in param_list))
     return VerificationReport(
         claim=name,
         range=described,

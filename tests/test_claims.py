@@ -242,3 +242,16 @@ def test_distinct_odd_memory_does_not_grow_with_the_family():
         tracemalloc.stop()
     assert report.passed
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_a_refused_range_allocates_nothing(monkeypatch):
+    # (6, 7) has 15 gaps: the range is refused before any fold, and its params are never listed
+    monkeypatch.setattr(search_mod, "GAP_LIMIT", 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(search_mod.GapLimitError, match=r"\(6, 7\)"):
+            run_claim("fib-distinct", max_s=300_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"

@@ -88,6 +88,16 @@ def test_gap_limit_refuses_before_allocating(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "limit of 1000000" in proc.stderr
     assert "Traceback" not in proc.stderr
+    # a verify range is checked whole before its first fold, so s = 1..1414 are not folded first
+    proc = run_process(
+        "verify", "fib-distinct", "--max-s", "3000000",
+        cwd=tmp_path, preexec_fn=limit_address_space, timeout=30,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "(1415, 1416)" in proc.stderr
+    assert "limit of 1000000" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @needs_resource
